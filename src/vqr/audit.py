@@ -108,18 +108,13 @@ def _bipartite_instance(seed, i):
 
 
 def _check_axiom1(kind: DistanceKind, seed: int, trials: int):
-    r_max_cache = {}
-
     def probe(rho, a, label, probe_seed):
-        d_e = a.outcomes
-        if d_e not in r_max_cache:
-            r_max_cache[d_e] = realism_max(kind, d_e)
         rng = np.random.default_rng(probe_seed + 11)
         eps = float(rng.uniform())
         d_rho = _delta(rho, a, kind)
         d_mon = _delta(monitor(rho, a, eps), a, kind)
         d_phi = _delta(measure_nonselective(rho, a), a, kind)
-        if d_rho > r_max_cache[d_e] + _CHAIN_TOL:
+        if d_rho > realism_max(kind, a.outcomes) + _CHAIN_TOL:
             return f"{label}: realism negative (delta {d_rho:.6g} > r_max)"
         if d_mon > d_rho + _CHAIN_TOL or d_phi > d_mon + _CHAIN_TOL:
             return f"{label}: monitoring chain not monotone"

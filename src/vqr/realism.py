@@ -10,6 +10,7 @@ dilation and R_max is attained at a maximally entangled system state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,10 +216,14 @@ def delta_conditional_information_dilated(
     return after.value - before.value
 
 
+@lru_cache(maxsize=256)
 def realism_max(kind: Kind, d_e: int) -> float:
     """Largest attainable information gain for a d_E-outcome observable,
     realized by a maximally entangled pair measured in the computational
-    basis.  For the von Neumann kind this is ln d_E.
+    basis.  For the von Neumann kind this is ln d_E.  Memoized on
+    (kind, d_e); invalid inputs still raise on every call.  The state route
+    stays because closed forms round differently (1e-16 for an exact 0)
+    and would change the sweep tables.
     """
     if d_e < 2:
         raise DimensionMismatch(f"observable needs >= 2 outcomes, got {d_e}")
@@ -244,5 +249,5 @@ def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
         r_value=r_max - delta,
         r_max=r_max,
         delta_i=delta,
-        vqr_detected=delta > TOL_VQR,
+        vqr_detected=bool(delta > TOL_VQR),
     )

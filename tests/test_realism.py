@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from vqr.states import (
     validate_state,
     werner,
 )
+from vqr.sweeps import SweepSpec, run_werner_sweep
 
 GEOMETRIC_KINDS = [TRACE, HILBERT_SCHMIDT, BURES, HELLINGER]
 ALL_KINDS = GEOMETRIC_KINDS + [lp(1.5), lp(3.0), VON_NEUMANN]
@@ -227,7 +230,7 @@ class TestRealismMax:
         assert realism_max(HELLINGER, 2) == pytest.approx(np.sqrt(2) - 1, abs=1e-9)
         assert realism_max(VON_NEUMANN, 2) == pytest.approx(np.log(2), abs=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_analytic_closed_forms(self, d):
         # hand-derived: Tr 2(d-1)/d^2, HS (d-1)/d^2, Bu/He 2(sqrt(d)-1)/d
         assert realism_max(TRACE, d) == pytest.approx(2 * (d - 1) / d**2, abs=1e-10)
@@ -235,6 +238,16 @@ class TestRealismMax:
         assert realism_max(BURES, d) == pytest.approx(2 * (np.sqrt(d) - 1) / d, abs=1e-10)
         assert realism_max(HELLINGER, d) == pytest.approx(2 * (np.sqrt(d) - 1) / d, abs=1e-10)
         assert realism_max(VON_NEUMANN, d) == pytest.approx(np.log(d), abs=1e-12)
+        # the L_p block formula at the maximally entangled state; at p = 1
+        # it reduces to the trace form 2(d-1)/d^2
+        for p in (1.5, 3.0):
+            closed = (
+                (1 - 1 / d**2) ** p
+                + (d - 1) * d ** (-2 * p)
+                + (d - 1) * d ** (1 - 2 * p)
+                - ((d - 1) ** p + (d - 1)) / d**p
+            )
+            assert realism_max(lp(p), d) == pytest.approx(closed, abs=1e-10)
 
     @pytest.mark.parametrize("kind", GEOMETRIC_KINDS, ids=lambda k: k.token())
     @pytest.mark.parametrize("d", [2, 3])
@@ -271,8 +284,10 @@ class TestRealismMax:
                 best_value, psi = value, trial
 
     def test_rejects_small_outcome_count(self):
-        with pytest.raises(DimensionMismatch):
-            realism_max(TRACE, 1)
+        # twice: the memo must not swallow the second raise
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                realism_max(TRACE, 1)
 
 
 class TestRealismReport:
@@ -308,12 +323,22 @@ class TestRealismReport:
             )
 
     def test_report_identity_and_flags(self):
-        report = realism(werner(0.8), SIGMA_Z_ON_FIRST, BURES)
-        assert report.r_value == report.r_max - report.delta_i
-        assert report.vqr_detected
-        obj = report.to_json()
-        assert set(obj) == {"kind", "params", "r_value", "r_max", "delta_i", "vqr_detected"}
-        assert obj["kind"] == "bu"
+        for kind in GEOMETRIC_KINDS + [VON_NEUMANN]:
+            report = realism(werner(0.8), SIGMA_Z_ON_FIRST, kind)
+            assert report.r_value == report.r_max - report.delta_i
+            assert report.vqr_detected
+            obj = json.loads(json.dumps(report.to_json()))
+            assert set(obj) == {"kind", "params", "r_value", "r_max", "delta_i", "vqr_detected"}
+            assert obj["kind"] == kind.token()
+            assert obj["vqr_detected"] is True
+
+    def test_werner_full_mixing_realism_is_exactly_zero(self):
+        # the state route to R_max cancels Delta I to the last bit at eps = 1;
+        # a closed-form R_max would leave ~1e-16 here and change the table
+        rows = run_werner_sweep(SweepSpec("werner", {"eps_steps": 2}))
+        last = {r["kind"]: r["r_value"] for r in rows if r["epsilon"] == 1.0}
+        for token in ("tr", "hs", "bu", "he"):
+            assert last[token] == 0.0
 
     def test_lp_reports_are_flagged_unverified(self):
         report = realism(werner(0.8), SIGMA_Z_ON_FIRST, lp(3.0))
