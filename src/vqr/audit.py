@@ -79,16 +79,6 @@ _EQUALITY_TOL = 1e-10
 _SUM_TOL = 1e-9
 
 
-def audit_kind(token: str) -> DistanceKind:
-    return {
-        "tr": metrics.TRACE,
-        "hs": metrics.HILBERT_SCHMIDT,
-        "lp3": metrics.lp(3.0),
-        "bu": metrics.BURES,
-        "he": metrics.HELLINGER,
-    }[token]
-
-
 def _delta(rho, a, kind):
     return delta_conditional_information(rho, a, kind)
 
@@ -243,7 +233,7 @@ _AXIOM_CHECKS = {
 
 def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
     """Audit a single (kind, axiom) cell and return its row."""
-    kind = audit_kind(kind_token)
+    kind = metrics.parse_kind(kind_token)
     cell_seed = seed + 1_000_000 * (AXIOMS.index(axiom) + 1)
     witness, witness_seed = _AXIOM_CHECKS[axiom](kind, cell_seed, trials)
     empirical = "counterexample" if witness else "pass"
@@ -283,7 +273,7 @@ def run_property_table(trials: int, seed: int) -> list[dict]:
     """Audit the distance-property pattern for each tabulated column."""
     rows = []
     for token, power in PROPERTY_COLUMNS:
-        kind = audit_kind(token)
+        kind = metrics.parse_kind(token)
         if power is not None:
             kind = kind.with_power(power)
         expected = expected_distance_properties(kind)

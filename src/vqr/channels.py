@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NonProjective, OutOfRange
+from .errors import DimensionMismatch, OutOfRange
 from .states import DensityMatrix, Observable, _frozen
 
 REALITY_TOL = 1e-9
@@ -100,9 +100,6 @@ def build_dilation(
     invariance contracts.
     """
     _require_same_space(rho, a)
-    for i, p in enumerate(a.projectors):
-        if np.abs(p @ p - p).max() > 1e-9:
-            raise NonProjective(f"projector {i} is not idempotent")
     d_e = a.outcomes
     if d_e != a.subsystem_dim:
         raise DimensionMismatch(

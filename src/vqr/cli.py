@@ -17,7 +17,7 @@ import sys
 
 from . import sweeps
 from .audit import run_audit
-from .errors import VqrError
+from .errors import OutOfRange, VqrError
 from .sweeps import DEFAULT_SEED, SweepSpec
 from .verify import run_verify
 
@@ -37,14 +37,16 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(1)
+        raise OutOfRange(f"VQR_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_common(sub, default_kinds):
     sub.add_argument("--kinds", default=",".join(default_kinds),
                      help="comma-separated kind tokens (tr,hs,bu,he,vn,lp<p>)")
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="seed stamped into spec_hash; no sweep draws random "
+                          f"numbers (default: VQR_SEED, else {DEFAULT_SEED})")
     sub.add_argument("--gnuplot", action="store_true",
                      help="also write a gnuplot companion script next to the CSV")
 
@@ -89,31 +91,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_sweep(args, experiment: str) -> int:
-    if experiment == "werner":
-        grid = {"eps_steps": args.eps_steps}
-    elif experiment == "rmax":
-        grid = {"d_max": args.dmax}
-    else:
-        grid = {
-            "mu_steps": args.mu_steps,
-            "phis": [float(p) for p in args.phi.split(",") if p],
-        }
+def _run_sweep(args, seed: int) -> int:
+    experiment = sweeps.EXPERIMENTS[args.command]
     spec = SweepSpec(
-        experiment=experiment,
-        grid=grid,
+        experiment=args.command,
+        grid=experiment.grid(args),
         kinds=tuple(t for t in args.kinds.split(",") if t),
-        seed=args.seed if args.seed is not None else _env_seed(),
+        seed=seed,
         output_path=args.out,
         format="json" if args.out and args.out.endswith(".json") else "csv",
     )
-    runner, fields = {
-        "werner": (sweeps.run_werner_sweep, sweeps.WERNER_FIELDS),
-        "rmax": (sweeps.run_rmax_sweep, sweeps.RMAX_FIELDS),
-        "mu": (sweeps.run_mu_sweep, sweeps.MU_FIELDS),
-    }[experiment]
-    rows = runner(spec)
-    text = sweeps.write_table(rows, fields, spec)
+    rows = experiment.run(spec)
+    text = sweeps.write_table(rows, experiment.fields, spec)
     if not spec.output_path:
         sys.stdout.write(text)
     if args.gnuplot and spec.output_path and spec.format == "csv":
@@ -124,10 +113,10 @@ def _run_sweep(args, experiment: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = args.seed if getattr(args, "seed", None) is not None else _env_seed()
     try:
-        if args.command in ("werner", "rmax", "mu"):
-            return _run_sweep(args, args.command)
+        seed = args.seed if args.seed is not None else _env_seed()
+        if args.command in sweeps.EXPERIMENTS:
+            return _run_sweep(args, seed)
         if args.command == "audit":
             result = run_audit(args.trials, seed, args.property_trials)
             _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)

@@ -7,6 +7,7 @@ global state.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -160,9 +161,10 @@ def powm_psd(m, alpha: float) -> np.ndarray:
 
 
 def schatten_norm(m, p: float) -> float:
-    """Schatten p-norm (Tr |X|^p)^(1/p) for p >= 1, via singular values."""
-    if p < 1:
-        raise InvalidOrder(f"Schatten order must satisfy p >= 1, got {p}")
+    """Schatten p-norm (Tr |X|^p)^(1/p) for finite p >= 1, via singular
+    values."""
+    if not 1 <= p < math.inf:
+        raise InvalidOrder(f"Schatten order must be a finite p >= 1, got {p}")
     arr = as_square(m)
     s = np.linalg.svd(arr, compute_uv=False)
     if p == 1:

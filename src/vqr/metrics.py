@@ -14,12 +14,13 @@ raised.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidAlpha, InvalidOrder
+from .errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
 from .states import DensityMatrix, haar_unitary, random_density
 
 # Eigenvalues at or below this are treated as the kernel in support checks.
@@ -44,8 +45,8 @@ class DistanceKind:
         if self.family not in _FAMILIES:
             raise InvalidOrder(f"unknown distance family {self.family!r}")
         if self.family == "lp":
-            if self.p is None or self.p < 1:
-                raise InvalidOrder(f"lp distance needs p >= 1, got {self.p}")
+            if self.p is None or not 1 <= self.p < math.inf:
+                raise InvalidOrder(f"lp distance needs a finite p >= 1, got {self.p}")
             object.__setattr__(self, "p", float(self.p))
             if self.power is None:
                 object.__setattr__(self, "power", float(self.p))
@@ -54,8 +55,8 @@ class DistanceKind:
                 raise InvalidOrder(f"family {self.family!r} does not take p")
             if self.power is None:
                 object.__setattr__(self, "power", _DEFAULT_POWER[self.family])
-        if self.power <= 0:
-            raise InvalidOrder(f"power must be positive, got {self.power}")
+        if not 0 < self.power < math.inf:
+            raise InvalidOrder(f"power must be positive and finite, got {self.power}")
 
     @property
     def schatten_p(self) -> float | None:
@@ -88,7 +89,7 @@ def lp(p: float, power: float | None = None) -> DistanceKind:
 
 
 def _check_alpha(alpha) -> float:
-    if alpha is None or alpha <= 0 or alpha == 1:
+    if alpha is None or not 0 < alpha < math.inf or alpha == 1:
         raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     return float(alpha)
 
@@ -125,6 +126,32 @@ def renyi(alpha: float) -> DivergenceKind:
 
 def sandwiched_renyi(alpha: float) -> DivergenceKind:
     return DivergenceKind("srenyi", alpha)
+
+
+Kind = DistanceKind | DivergenceKind
+
+_NAMED_KINDS = {
+    kind.token(): kind
+    for kind in (TRACE, HILBERT_SCHMIDT, BURES, HELLINGER, VON_NEUMANN)
+}
+_ORDERED_KINDS = {"lp": lp, "renyi": renyi, "srenyi": sandwiched_renyi}
+
+
+def parse_kind(token: str) -> Kind:
+    """The kind of a token (tr, hs, bu, he, vn, lp<p>, renyi<a>, srenyi<a>),
+    the inverse of kind.token().  An unreadable token raises OutOfRange; an
+    order outside the kind's domain raises InvalidOrder or InvalidAlpha."""
+    token = token.strip().lower()
+    if token in _NAMED_KINDS:
+        return _NAMED_KINDS[token]
+    for prefix, make in _ORDERED_KINDS.items():
+        if token.startswith(prefix):
+            try:
+                order = float(token[len(prefix):])
+            except ValueError as exc:
+                raise OutOfRange(f"cannot parse the order of {token!r}") from exc
+            return make(order)
+    raise OutOfRange(f"unknown kind token {token!r}")
 
 
 def _mat(x) -> np.ndarray:
@@ -192,11 +219,7 @@ def hellinger_distance_sq(rho, sigma) -> float:
 
 def distance(kind: DistanceKind, rho, sigma) -> float:
     """The base (power-1) distance selected by kind."""
-    if kind.family in ("tr", "hs", "lp"):
-        return lp_distance(rho, sigma, kind.schatten_p)
-    if kind.family == "bu":
-        return float(np.sqrt(bures_distance_sq(rho, sigma)))
-    return float(np.sqrt(hellinger_distance_sq(rho, sigma)))
+    return powered_distance(kind.with_power(1.0), rho, sigma)
 
 
 def powered_distance(kind: DistanceKind, rho, sigma) -> float:
@@ -213,9 +236,13 @@ def powered_distance(kind: DistanceKind, rho, sigma) -> float:
 # --------------------------------------------------------------------------
 
 
-def _clipped_eigvalsh(m) -> np.ndarray:
-    w = np.linalg.eigvalsh(linalg.require_hermitian(m))
+def _clip_roundoff(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues in [-TAU_PSD, 0) set to zero."""
     return np.where((w < 0.0) & (w >= -linalg.TAU_PSD), 0.0, w)
+
+
+def _clipped_eigvalsh(m) -> np.ndarray:
+    return _clip_roundoff(np.linalg.eigvalsh(linalg.require_hermitian(m)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -225,51 +252,55 @@ def von_neumann_entropy(rho) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
+def _sigma_spectrum(r: np.ndarray, s: np.ndarray, check_support: bool):
+    """sigma's clipped eigenvalues and its eigenvectors, shared by the
+    divergences.  With check_support, None instead when rho has mass above
+    SUPPORT_TOL on sigma's kernel (eigenvalues <= KERNEL_TOL), where the
+    divergence is infinite."""
+    w_s, v_s = np.linalg.eigh(linalg.require_hermitian(s))
+    w_s = _clip_roundoff(w_s)
+    if check_support:
+        kernel = v_s[:, w_s <= KERNEL_TOL]
+        if float(np.real(np.trace(kernel.conj().T @ r @ kernel))) > SUPPORT_TOL:
+            return None
+    return w_s, v_s
+
+
 def relative_entropy(rho, sigma) -> float:
     """S(rho||sigma) = Tr(rho ln rho - rho ln sigma) in nats.
 
     Returns float('inf') when rho has support on the kernel of sigma.
     """
     r, s = _pair(rho, sigma)
+    spectrum = _sigma_spectrum(r, s, check_support=True)
+    if spectrum is None:
+        return float("inf")
+    w_s, v_s = spectrum
     w_r, v_r = np.linalg.eigh(linalg.require_hermitian(r))
-    w_s, v_s = np.linalg.eigh(linalg.require_hermitian(s))
-    w_r = np.where((w_r < 0.0) & (w_r >= -linalg.TAU_PSD), 0.0, w_r)
+    w_r = _clip_roundoff(w_r)
     overlap = np.abs(v_r.conj().T @ v_s) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
     pos = w_r > 0.0
-    kernel = w_s <= KERNEL_TOL
-    if kernel.any():
-        mass = float(w_r[pos] @ overlap[np.ix_(pos, kernel)].sum(axis=1))
-        if mass > SUPPORT_TOL:
-            return float("inf")
-    keep = ~kernel
+    keep = w_s > KERNEL_TOL
     cross = float(w_r[pos] @ (overlap[np.ix_(pos, keep)] @ np.log(w_s[keep])))
     own = float((w_r[pos] * np.log(w_r[pos])).sum())
     return own - cross
 
 
-def _support_violated(rho_mat, w_s, v_s) -> bool:
-    """True if rho has mass above SUPPORT_TOL on the kernel of sigma."""
-    kernel = v_s[:, w_s <= KERNEL_TOL]
-    if kernel.shape[1] == 0:
-        return False
-    mass = float(np.real(np.trace(kernel.conj().T @ rho_mat @ kernel)))
-    return mass > SUPPORT_TOL
+def _renyi(r: np.ndarray, alpha: float, t: float) -> float:
+    """ln[t / Tr rho] / (alpha - 1) for the quasi-entropy t of order alpha."""
+    if t <= 0.0:
+        return float("inf") if alpha < 1 else float("-inf")
+    return float(np.log(t / float(np.real(np.trace(r)))) / (alpha - 1.0))
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Petz-Renyi divergence ln[Tr(rho^a sigma^(1-a)) / Tr rho] / (a - 1)."""
     alpha = _check_alpha(alpha)
     r, s = _pair(rho, sigma)
-    w_s, v_s = np.linalg.eigh(linalg.require_hermitian(s))
-    if alpha > 1 and _support_violated(r, w_s, v_s):
+    if _sigma_spectrum(r, s, check_support=alpha > 1) is None:
         return float("inf")
-    r_pow = linalg.powm_psd(r, alpha)
-    s_pow = linalg.powm_psd(s, 1.0 - alpha)
-    t = float(np.real(np.trace(r_pow @ s_pow)))
-    tr_r = float(np.real(np.trace(r)))
-    if t <= 0.0:
-        return float("inf") if alpha < 1 else float("-inf")
-    return float(np.log(t / tr_r) / (alpha - 1.0))
+    t = np.trace(linalg.powm_psd(r, alpha) @ linalg.powm_psd(s, 1.0 - alpha))
+    return _renyi(r, alpha, float(np.real(t)))
 
 
 def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
@@ -277,19 +308,12 @@ def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
     ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a)."""
     alpha = _check_alpha(alpha)
     r, s = _pair(rho, sigma)
-    w_s, v_s = np.linalg.eigh(linalg.require_hermitian(s))
-    if alpha > 1 and _support_violated(r, w_s, v_s):
+    if _sigma_spectrum(r, s, check_support=alpha > 1) is None:
         return float("inf")
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    s_pow = linalg.powm_psd(s, exponent)
+    s_pow = linalg.powm_psd(s, (1.0 - alpha) / (2.0 * alpha))
     inner = s_pow @ r @ s_pow
     w = _clipped_eigvalsh((inner + inner.conj().T) / 2)
-    w = w[w > linalg.SPECTRAL_FLOOR]
-    t = float((w**alpha).sum())
-    tr_r = float(np.real(np.trace(r)))
-    if t <= 0.0:
-        return float("inf") if alpha < 1 else float("-inf")
-    return float(np.log(t / tr_r) / (alpha - 1.0))
+    return _renyi(r, alpha, float((w[w > linalg.SPECTRAL_FLOOR] ** alpha).sum()))
 
 
 def divergence(kind: DivergenceKind, rho, sigma) -> float:
@@ -346,25 +370,18 @@ def _stinespring_channel(seed, d: int):
     return channel
 
 
-def _self_distance(kind, rho) -> float:
-    # Bures/Hellinger are computed natively as squares; taking the square
-    # root near zero would amplify O(eps) roundoff to O(sqrt(eps)), so the
-    # identity-of-indiscernibles check runs on the squared form.
-    if kind.family == "bu":
-        return bures_distance_sq(rho, rho)
-    if kind.family == "he":
-        return hellinger_distance_sq(rho, rho)
-    return powered_distance(kind, rho, rho)
-
-
 def _check_positive_definiteness(kind, seed, trials):
+    # Bures/Hellinger are computed natively as squares; a lower power near
+    # zero would amplify O(eps) roundoff to O(sqrt(eps)), so the
+    # identity-of-indiscernibles check runs on the squared form.
+    squared = kind.with_power(2.0)
     violations, worst, example = 0, 0.0, None
     for i in range(trials):
         s = seed + i
         d = 2 + (i % 3)
         rho, sig = _random_pair(s, d)
         value = powered_distance(kind, rho, sig)
-        self_value = _self_distance(kind, rho)
+        self_value = powered_distance(squared, rho, rho)
         bad = max(-value, self_value - 1e-10)
         if trace_distance(rho, sig) > 1e-6 and value <= 1e-12:
             bad = max(bad, 1e-12 - value)

@@ -16,13 +16,11 @@ import numpy as np
 
 from . import channels, linalg, metrics
 from .errors import DimensionMismatch, InvalidOrder
-from .metrics import DistanceKind, DivergenceKind
+from .metrics import VON_NEUMANN, DistanceKind, Kind
 from .states import DensityMatrix, Observable, computational_observable, max_entangled
 
 # Measured information gains above this count as a detected violation.
 TOL_VQR = 1e-9
-
-Kind = DistanceKind | DivergenceKind
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class RealismReport:
     def axioms_unverified(self) -> bool:
         """True for L_p orders outside {1, 2}, whose axiom status is only
         tested empirically."""
-        return isinstance(self.kind, DistanceKind) and self.kind.family == "lp"
+        return isinstance(self.kind, DistanceKind) and self.kind.p is not None
 
     def to_json(self) -> dict:
         params = {}
@@ -165,6 +163,14 @@ def _delta_lp_closed_form(rho_mat: np.ndarray, phi_mat: np.ndarray, p: float, d_
     return i_t - i_0
 
 
+def _entropic(kind: Kind) -> bool:
+    """True for von Neumann, False for a distance; the Renyi divergences
+    have no realism recipe and raise InvalidOrder."""
+    if not isinstance(kind, DistanceKind) and kind != VON_NEUMANN:
+        raise InvalidOrder(f"no realism recipe for divergence {kind.token()}")
+    return kind == VON_NEUMANN
+
+
 def delta_conditional_information(
     rho: DensityMatrix, a: Observable, kind: Kind
 ) -> float:
@@ -176,9 +182,7 @@ def delta_conditional_information(
     Hellinger (1/sqrt(d_E)) d_He^2(rho, Phi); general L_p the block
     formula; von Neumann the irrealism S(Phi(rho)) - S(rho).
     """
-    if isinstance(kind, DivergenceKind):
-        if kind.family != "vn":
-            raise InvalidOrder(f"no realism recipe for divergence {kind.token()}")
+    if _entropic(kind):
         return irrealism(rho, a)
     d_e = a.outcomes
     phi_mat = channels.phi_map(rho.matrix, a)
@@ -205,9 +209,7 @@ def delta_conditional_information_dilated(
     setup = channels.build_dilation(rho, a)
     omega0, omega_t = channels.evolve(setup)
     split = len(rho.dims)
-    if isinstance(kind, DivergenceKind):
-        if kind.family != "vn":
-            raise InvalidOrder(f"no realism recipe for divergence {kind.token()}")
+    if _entropic(kind):
         return conditional_information_entropic(
             omega_t, split
         ) - conditional_information_entropic(omega0, split)
@@ -227,9 +229,7 @@ def realism_max(kind: Kind, d_e: int) -> float:
     """
     if d_e < 2:
         raise DimensionMismatch(f"observable needs >= 2 outcomes, got {d_e}")
-    if isinstance(kind, DivergenceKind):
-        if kind.family != "vn":
-            raise InvalidOrder(f"no realism recipe for divergence {kind.token()}")
+    if _entropic(kind):
         return float(np.log(d_e))
     rho = max_entangled(d_e)
     obs = computational_observable(d_e, 0, (d_e, d_e))

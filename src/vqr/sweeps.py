@@ -13,11 +13,12 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import metrics
 from .errors import NumericalFailure, OutOfRange
+from .metrics import parse_kind
 from .realism import realism, realism_max
 from .states import computational_observable, mu_state, spin_observable, werner
 
@@ -30,29 +31,14 @@ THETA_INVARIANCE_POINTS = 8
 THETA_INVARIANCE_TOL = 1e-9
 
 
-def parse_kind(token: str):
-    """Map a CLI token (tr, hs, bu, he, vn, lp<p>) to a kind object."""
-    token = token.strip().lower()
-    simple = {
-        "tr": metrics.TRACE,
-        "hs": metrics.HILBERT_SCHMIDT,
-        "bu": metrics.BURES,
-        "he": metrics.HELLINGER,
-        "vn": metrics.VON_NEUMANN,
-    }
-    if token in simple:
-        return simple[token]
-    if token.startswith("lp"):
-        try:
-            return metrics.lp(float(token[2:]))
-        except ValueError as exc:
-            raise OutOfRange(f"cannot parse L_p order from {token!r}") from exc
-    raise OutOfRange(f"unknown kind token {token!r}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameters of one harness run; its hash stamps every output row."""
+    """Parameters of one harness run; its hash stamps every output row.
+
+    No sweep draws random numbers, so `seed` changes nothing but that hash:
+    it records the seed the run was given (--seed or VQR_SEED) next to the
+    grid and kinds that produced the table.
+    """
 
     experiment: str
     grid: dict = field(default_factory=dict)
@@ -219,17 +205,41 @@ plot for [k in "{kinds}"] "{csv}" \\
 """
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One sweep: its runner, CSV columns and default kinds, the grid it
+    takes from the parsed command line, and its GNUPLOT_TEMPLATE axes."""
+
+    run: Callable[[SweepSpec], list[dict]]
+    fields: list[str]
+    kinds: tuple[str, ...]
+    grid: Callable[[object], dict]
+    plot: dict
+
+
+EXPERIMENTS = {
+    "werner": Experiment(
+        run_werner_sweep, WERNER_FIELDS, WERNER_KINDS,
+        lambda args: {"eps_steps": args.eps_steps},
+        dict(xlabel="epsilon", ylabel="realism", xcol=2, kindcol=3, ycol=4),
+    ),
+    "rmax": Experiment(
+        run_rmax_sweep, RMAX_FIELDS, RMAX_KINDS,
+        lambda args: {"d_max": args.dmax},
+        dict(xlabel="d_E", ylabel="max realism", xcol=2, kindcol=3, ycol=4),
+    ),
+    "mu": Experiment(
+        run_mu_sweep, MU_FIELDS, MU_KINDS,
+        lambda args: {
+            "mu_steps": args.mu_steps,
+            "phis": [float(p) for p in args.phi.split(",") if p],
+        },
+        dict(xlabel="mu", ylabel="realism", xcol=2, kindcol=4, ycol=5),
+    ),
+}
+
+
 def gnuplot_script(spec: SweepSpec, csv_path: str) -> str:
-    layout = {
-        "werner": ("epsilon", "realism", 2, 3, 4),
-        "rmax": ("d_E", "max realism", 2, 3, 4),
-        "mu": ("mu", "realism", 2, 4, 5),
-    }[spec.experiment]
-    xlabel, ylabel, xcol, kindcol, ycol = layout
-    kinds = " ".join(spec.kinds) if spec.kinds else " ".join(
-        {"werner": WERNER_KINDS, "rmax": RMAX_KINDS, "mu": MU_KINDS}[spec.experiment]
-    )
-    return GNUPLOT_TEMPLATE.format(
-        csv=csv_path, xlabel=xlabel, ylabel=ylabel, kinds=kinds,
-        xcol=xcol, kindcol=kindcol, ycol=ycol,
-    )
+    experiment = EXPERIMENTS[spec.experiment]
+    kinds = " ".join(spec.kinds or experiment.kinds)
+    return GNUPLOT_TEMPLATE.format(csv=csv_path, kinds=kinds, **experiment.plot)

@@ -155,17 +155,10 @@ def run_verify(trials: int, seed: int) -> dict:
     for fname in _PINCHING_FUNCTIONS:
         add(f"pinching_trace_identity_{fname}", _pinching_identity_residual(fname, trials, seed))
     add("hs_purity_loss_identity", _purity_loss_residual(trials, seed))
-    for kind in (
-        metrics.TRACE,
-        metrics.HILBERT_SCHMIDT,
-        metrics.BURES,
-        metrics.HELLINGER,
-        metrics.lp(1.5),
-        metrics.lp(3.0),
-    ):
+    for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3"):
         add(
-            f"information_gain_closed_form_{kind.token()}",
-            _closed_form_residual(kind, trials, seed + 1000),
+            f"information_gain_closed_form_{token}",
+            _closed_form_residual(metrics.parse_kind(token), trials, seed + 1000),
         )
     add("bures_from_sandwiched_renyi_half", _renyi_identity_residual("bures", trials, seed + 2000))
     add("hellinger_from_renyi_half", _renyi_identity_residual("hellinger", trials, seed + 2000))

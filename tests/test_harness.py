@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from vqr.audit import AXIOMS, AUDIT_KINDS, run_audit, run_axiom_cell
+from vqr.audit import AXIOMS, AUDIT_KINDS, PROPERTY_COLUMNS, run_audit, run_axiom_cell
 from vqr.cli import main
+from vqr.errors import InvalidAlpha, InvalidOrder, OutOfRange
 from vqr.sweeps import (
+    MU_KINDS,
+    RMAX_KINDS,
+    WERNER_KINDS,
     SweepSpec,
     parse_kind,
     rows_to_csv,
@@ -31,12 +35,23 @@ class TestKindParsing:
         assert parse_kind("tr").family == "tr"
         assert parse_kind("vn").family == "vn"
         assert parse_kind("lp2.5").p == 2.5
+        # parse_kind is the inverse of token() on every tabulated token
+        tokens = set(WERNER_KINDS + RMAX_KINDS + MU_KINDS + AUDIT_KINDS)
+        tokens |= {token for token, _ in PROPERTY_COLUMNS}
+        tokens |= {"lp1.5", "renyi0.5", "srenyi2"}
+        for token in tokens:
+            assert parse_kind(token).token() == token
 
     def test_bad_token(self):
-        from vqr.errors import OutOfRange
-
-        with pytest.raises(OutOfRange):
-            parse_kind("xx")
+        for token in ("xx", "lpabc", "renyi"):
+            with pytest.raises(OutOfRange):
+                parse_kind(token)
+        for token in ("lpnan", "lpinf", "lp1e400", "lp-inf"):
+            with pytest.raises(InvalidOrder):
+                parse_kind(token)
+        for token in ("renyinan", "srenyiinf"):
+            with pytest.raises(InvalidAlpha):
+                parse_kind(token)
 
 
 class TestWernerSweep:
@@ -263,6 +278,14 @@ class TestCli:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("token", ["lpnan", "lpinf", "lp1e400"])
+    def test_non_finite_order_exits_one(self, token, capsys):
+        code = main(["werner", "--eps-steps", "3", "--kinds", token])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("vqr: lp distance needs a finite p >= 1")
+
     def test_env_seed_fallback(self, tmp_path):
         env = dict(os.environ, VQR_SEED="777", PYTHONPATH="src")
         proc = subprocess.run(
@@ -271,6 +294,16 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["seed"] == 777
+
+    def test_env_seed_not_an_integer(self):
+        env = dict(os.environ, VQR_SEED="abc", PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqr.cli", "verify", "--trials", "1"],
+            capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)) or ".",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "vqr: VQR_SEED must be an integer, got 'abc'\n"
 
     def test_installed_entry_point(self, tmp_path):
         # Run the `vqr` command declared in pyproject.toml from this checkout:

@@ -154,8 +154,9 @@ class TestSchattenNorm:
             )
 
     def test_invalid_order(self):
-        with pytest.raises(InvalidOrder):
-            linalg.schatten_norm(np.eye(2), 0.5)
+        for p in (0.5, float("inf"), float("nan")):
+            with pytest.raises(InvalidOrder):
+                linalg.schatten_norm(np.eye(2), p)
 
 
 class TestKron:

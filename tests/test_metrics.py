@@ -9,6 +9,7 @@ from vqr.metrics import (
     HELLINGER,
     HILBERT_SCHMIDT,
     TRACE,
+    DistanceKind,
     bures_distance_sq,
     check_distance_properties,
     distance,
@@ -50,8 +51,12 @@ def measured_werner(eps):
 
 class TestKindSelectors:
     def test_lp_requires_p_at_least_one(self):
-        with pytest.raises(InvalidOrder):
-            lp(0.7)
+        for p in (0.7, float("nan"), float("inf"), 1e400):
+            with pytest.raises(InvalidOrder):
+                lp(p)
+        for power in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidOrder):
+                DistanceKind("hs", power=power)
 
     def test_default_powers(self):
         assert TRACE.power == 1.0
@@ -74,6 +79,11 @@ class TestKindSelectors:
             metrics.renyi(1.0)
         with pytest.raises(InvalidAlpha):
             metrics.sandwiched_renyi(-0.5)
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(InvalidAlpha):
+                metrics.renyi(alpha)
+            with pytest.raises(InvalidAlpha):
+                metrics.sandwiched_renyi(alpha)
 
 
 class TestLpDistance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vqr.channels import has_reality, measure_nonselective, monitor, phi_map
-from vqr.errors import DimensionMismatch
+from vqr.errors import DimensionMismatch, InvalidOrder
 from vqr.metrics import (
     BURES,
     HELLINGER,
@@ -14,6 +14,8 @@ from vqr.metrics import (
     hs_distance,
     lp,
     relative_entropy,
+    renyi,
+    sandwiched_renyi,
     trace_distance,
 )
 from vqr.realism import (
@@ -288,6 +290,19 @@ class TestRealismMax:
         for _ in range(2):
             with pytest.raises(DimensionMismatch):
                 realism_max(TRACE, 1)
+
+
+@pytest.mark.parametrize("kind", [renyi(0.5), sandwiched_renyi(2.0)], ids=lambda k: k.token())
+def test_renyi_divergences_have_no_realism_recipe(kind):
+    rho = werner(0.5)
+    for call in (
+        lambda: realism(rho, SIGMA_Z_ON_FIRST, kind),
+        lambda: delta_conditional_information(rho, SIGMA_Z_ON_FIRST, kind),
+        lambda: delta_conditional_information_dilated(rho, SIGMA_Z_ON_FIRST, kind),
+        lambda: realism_max(kind, 2),
+    ):
+        with pytest.raises(InvalidOrder, match="no realism recipe"):
+            call()
 
 
 class TestRealismReport:
