@@ -19,7 +19,8 @@ import numpy as np
 
 from . import metrics
 from .channels import has_reality, measure_nonselective, monitor
-from .metrics import DistanceKind, check_distance_properties, expected_distance_properties
+from .errors import OutOfRange
+from .metrics import expected_distance_properties
 from .realism import TOL_VQR, delta_conditional_information, realism_max
 from .states import (
     DensityMatrix,
@@ -79,13 +80,10 @@ _EQUALITY_TOL = 1e-10
 _SUM_TOL = 1e-9
 
 
-def _delta(rho, a, kind):
-    return delta_conditional_information(rho, a, kind)
-
-
 # --------------------------------------------------------------------------
-# Per-axiom counterexample searches.  Each returns (witness, seed) for the
-# first violation found, or (None, None).
+# Per-axiom counterexample searches.  Each yields the axiom's cases in
+# order as (seed, test): the seed reported with a witness (-1 for a
+# structured probe) and a test that maps a kind to its witness or None.
 # --------------------------------------------------------------------------
 
 
@@ -97,13 +95,15 @@ def _bipartite_instance(seed, i):
     return rho, a
 
 
-def _check_axiom1(kind: DistanceKind, seed: int, trials: int):
-    def probe(rho, a, label, probe_seed):
-        rng = np.random.default_rng(probe_seed + 11)
-        eps = float(rng.uniform())
-        d_rho = _delta(rho, a, kind)
-        d_mon = _delta(monitor(rho, a, eps), a, kind)
-        d_phi = _delta(measure_nonselective(rho, a), a, kind)
+def _monitoring_chain(rho, a, label, probe_seed):
+    eps = float(np.random.default_rng(probe_seed + 11).uniform())
+    monitored = monitor(rho, a, eps)
+    measured = measure_nonselective(rho, a)
+
+    def test(kind):
+        d_rho = delta_conditional_information(rho, a, kind)
+        d_mon = delta_conditional_information(monitored, a, kind)
+        d_phi = delta_conditional_information(measured, a, kind)
         if d_rho > realism_max(kind, a.outcomes) + _CHAIN_TOL:
             return f"{label}: realism negative (delta {d_rho:.6g} > r_max)"
         if d_mon > d_rho + _CHAIN_TOL or d_phi > d_mon + _CHAIN_TOL:
@@ -117,29 +117,42 @@ def _check_axiom1(kind: DistanceKind, seed: int, trials: int):
             )
         return None
 
+    return test
+
+
+def _axiom1_cases(seed, trials):
+    obs = spin_observable(0.0, 0.0, subsystem=0, dims=(2, 2))
     for eps in (0.2, 0.05, 0.1, 0.15, 0.25, 0.3):
-        obs = spin_observable(0.0, 0.0, subsystem=0, dims=(2, 2))
-        witness = probe(werner(eps), obs, f"werner({eps:g}) with sigma_z", seed)
-        if witness:
-            return witness, -1
+        yield -1, _monitoring_chain(werner(eps), obs, f"werner({eps:g}) with sigma_z", seed)
     for i in range(trials):
         s = seed + i
         rho, a = _bipartite_instance(s, i)
-        witness = probe(rho, a, f"random bipartite (trial {i})", s)
-        if witness:
-            return witness, s
-    return None, None
+        yield s, _monitoring_chain(rho, a, f"random bipartite (trial {i})", s)
 
 
-def _check_axiom2a(kind: DistanceKind, seed: int, trials: int):
+def _bystander(label, small, big, two_sided=False):
+    """Witness `label` when discarding the bystander, from the (state,
+    observable) pair `big` to `small`, raises the gain or, two-sided,
+    changes it at all."""
+    def test(kind):
+        d_small = delta_conditional_information(*small, kind)
+        d_big = delta_conditional_information(*big, kind)
+        if two_sided:
+            return label if abs(d_big - d_small) > _EQUALITY_TOL else None
+        return label if d_small > d_big + _CHAIN_TOL else None
+
+    return test
+
+
+def _axiom2a_cases(seed, trials):
     # Structured probe: an uncorrelated mixed bystander, then discard it.
     rho = random_density(4, 4, seed + 1, dims=(2, 2))
     sigma = random_density(2, 2, seed + 2)
     big = DensityMatrix(np.kron(rho.matrix, sigma.matrix), (2, 2, 2))
     a_small = random_observable(2, seed + 3, subsystem=0, dims=(2, 2))
-    a_big = a_small.scoped((2, 2, 2), 0)
-    if _delta(rho, a_small, kind) > _delta(big, a_big, kind) + _CHAIN_TOL:
-        return "product state rho_AB (x) sigma with mixed sigma, discard sigma", -1
+    label = "product state rho_AB (x) sigma with mixed sigma, discard sigma"
+    big_pair = (big, a_small.scoped((2, 2, 2), 0))
+    yield -1, _bystander(label, (rho, a_small), big_pair)
 
     dimsets = [(2, 2, 2), (3, 2, 2), (2, 3, 2)]
     for i in range(trials):
@@ -148,48 +161,50 @@ def _check_axiom2a(kind: DistanceKind, seed: int, trials: int):
         d = int(np.prod(dims))
         rho = random_density(d, d - (i % 2), s, dims=dims)
         a = random_observable(dims[0], s + 50021, subsystem=0, dims=dims)
-        reduced = rho.reduced((0, 1))
-        a_red = a.scoped(dims[:2], 0)
-        if _delta(reduced, a_red, kind) > _delta(rho, a, kind) + _CHAIN_TOL:
-            return f"random tripartite state, dims {dims} (trial {i})", s
-    return None, None
+        label = f"random tripartite state, dims {dims} (trial {i})"
+        small = (rho.reduced((0, 1)), a.scoped(dims[:2], 0))
+        yield s, _bystander(label, small, (rho, a))
 
 
-def _check_axiom2b(kind: DistanceKind, seed: int, trials: int):
+def _axiom2b_cases(seed, trials):
     for i in range(trials):
         s = seed + i
         rho, a = _bipartite_instance(s, i)
         sigma = random_density(2, 2, s + 60013)
         big = DensityMatrix(np.kron(rho.matrix, sigma.matrix), rho.dims + (2,))
         a_big = a.scoped(rho.dims + (2,), a.subsystem)
-        if abs(_delta(big, a_big, kind) - _delta(rho, a, kind)) > _EQUALITY_TOL:
-            return f"attach uncorrelated mixed qubit (trial {i})", s
-    return None, None
+        label = f"attach uncorrelated mixed qubit (trial {i})"
+        yield s, _bystander(label, (rho, a), (big, a_big), two_sided=True)
 
 
-def _forbidden_saturation(kind, rho, x, y, r_max):
-    total = 2 * r_max - _delta(rho, x, kind) - _delta(rho, y, kind)
-    if total > 2 * r_max + _SUM_TOL:
-        return "sum exceeds twice the maximum"
-    if abs(total - 2 * r_max) > _SUM_TOL:
-        return None
-    commutator = np.abs(x.operator() @ y.operator() - y.operator() @ x.operator()).max()
-    d_a = x.subsystem_dim
-    rest = [k for k in range(len(rho.dims)) if k != x.subsystem]
-    rho_b = rho.reduced(rest).matrix
-    product = np.kron(np.eye(d_a, dtype=complex) / d_a, rho_b)
-    if commutator <= 1e-9 or metrics.trace_distance(rho.matrix, product) <= 1e-9:
-        return None
-    return "saturation with non-commuting observables on a correlated state"
+def _forbidden_saturation(label, rho, x, y):
+    def test(kind):
+        r_max = realism_max(kind, 2)
+        total = (
+            2 * r_max
+            - delta_conditional_information(rho, x, kind)
+            - delta_conditional_information(rho, y, kind)
+        )
+        if total > 2 * r_max + _SUM_TOL:
+            return f"{label}: sum exceeds twice the maximum"
+        if abs(total - 2 * r_max) > _SUM_TOL:
+            return None
+        commutator = np.abs(x.operator() @ y.operator() - y.operator() @ x.operator()).max()
+        d_a = x.subsystem_dim
+        rest = [k for k in range(len(rho.dims)) if k != x.subsystem]
+        rho_b = rho.reduced(rest).matrix
+        product = np.kron(np.eye(d_a, dtype=complex) / d_a, rho_b)
+        if commutator <= 1e-9 or metrics.trace_distance(rho.matrix, product) <= 1e-9:
+            return None
+        return f"{label}: saturation with non-commuting observables on a correlated state"
+
+    return test
 
 
-def _check_axiom3(kind: DistanceKind, seed: int, trials: int):
-    r_max = realism_max(kind, 2)
+def _axiom3_cases(seed, trials):
     x = spin_observable(0.0, 0.0, subsystem=0, dims=(2, 2))
     y = spin_observable(0.0, np.pi / 2, subsystem=0, dims=(2, 2))
-    reason = _forbidden_saturation(kind, werner(0.2), x, y, r_max)
-    if reason:
-        return f"werner(0.2) with sigma_z and sigma_x: {reason}", -1
+    yield -1, _forbidden_saturation("werner(0.2) with sigma_z and sigma_x", werner(0.2), x, y)
     for i in range(trials):
         s = seed + i
         dims = (2, 2) if i % 2 == 0 else (2, 3)
@@ -198,13 +213,23 @@ def _check_axiom3(kind: DistanceKind, seed: int, trials: int):
         rng = np.random.default_rng(s + 70001)
         x = spin_observable(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), 0, dims)
         y = spin_observable(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), 0, dims)
-        reason = _forbidden_saturation(kind, rho, x, y, r_max)
-        if reason:
-            return f"random qubit pair (trial {i}): {reason}", s
-    return None, None
+        yield s, _forbidden_saturation(f"random qubit pair (trial {i})", rho, x, y)
 
 
-def _check_axiom4(kind: DistanceKind, seed: int, trials: int):
+def _mixing(label, probs, parts, a):
+    """Witness `label` when the gain of the mixture exceeds the average
+    gain of its parts."""
+    mixture = DensityMatrix(sum(p * r.matrix for p, r in zip(probs, parts)), (2, 2))
+
+    def test(kind):
+        lhs = delta_conditional_information(mixture, a, kind)
+        rhs = sum(p * delta_conditional_information(r, a, kind) for p, r in zip(probs, parts))
+        return label if lhs > rhs + _SUM_TOL else None
+
+    return test
+
+
+def _axiom4_cases(seed, trials):
     for i in range(trials):
         s = seed + i
         rng = np.random.default_rng(s + 80021)
@@ -212,52 +237,57 @@ def _check_axiom4(kind: DistanceKind, seed: int, trials: int):
         probs = rng.dirichlet(np.ones(n))
         parts = [random_density(4, 4, s + 90001 + j, dims=(2, 2)) for j in range(n)]
         a = random_observable(2, s + 90500, subsystem=0, dims=(2, 2))
-        mixture = DensityMatrix(
-            sum(p * r.matrix for p, r in zip(probs, parts)), (2, 2)
-        )
-        lhs = _delta(mixture, a, kind)
-        rhs = sum(p * _delta(r, a, kind) for p, r in zip(probs, parts))
-        if lhs > rhs + _SUM_TOL:
-            return f"ensemble of {n} random states (trial {i})", s
-    return None, None
+        yield s, _mixing(f"ensemble of {n} random states (trial {i})", probs, parts, a)
 
 
-_AXIOM_CHECKS = {
-    "axiom1": _check_axiom1,
-    "axiom2a": _check_axiom2a,
-    "axiom2b": _check_axiom2b,
-    "axiom3": _check_axiom3,
-    "axiom4": _check_axiom4,
+_AXIOM_CASES = {
+    "axiom1": _axiom1_cases,
+    "axiom2a": _axiom2a_cases,
+    "axiom2b": _axiom2b_cases,
+    "axiom3": _axiom3_cases,
+    "axiom4": _axiom4_cases,
 }
 
 
-def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
-    """Audit a single (kind, axiom) cell and return its row."""
-    kind = metrics.parse_kind(kind_token)
+def _first_witnesses(axiom: str, tokens, trials: int, seed: int) -> list[tuple]:
+    """Search one axiom for every kind at once: each case is drawn once and
+    tested on each kind still without a witness, so every kind gets the
+    (witness, witness_seed) of its own first failing case, or (None, None)."""
+    kinds = [metrics.parse_kind(token) for token in tokens]
+    found = [(None, None)] * len(kinds)
     cell_seed = seed + 1_000_000 * (AXIOMS.index(axiom) + 1)
-    witness, witness_seed = _AXIOM_CHECKS[axiom](kind, cell_seed, trials)
+    for case_seed, test in _AXIOM_CASES[axiom](cell_seed, trials):
+        for k, kind in enumerate(kinds):
+            if found[k][0] is None:
+                witness = test(kind)
+                if witness:
+                    found[k] = (witness, case_seed)
+        if all(witness for witness, _ in found):
+            break
+    return found
+
+
+def _cell_row(kind_token: str, axiom: str, witness, witness_seed) -> dict:
     empirical = "counterexample" if witness else "pass"
     verdict = "unverified" if (kind_token, axiom) in UNVERIFIED_CELLS else empirical
-    row = {
-        "kind": kind_token,
-        "axiom": axiom,
-        "verdict": verdict,
-        "empirical": empirical,
-        "witness_seed": witness_seed,
-        "witness": witness,
-    }
     expected = NOMINAL_PATTERN[kind_token][axiom]
-    row["expected"] = expected
-    row["matches_nominal"] = verdict == expected
+    row = {"kind": kind_token, "axiom": axiom, "verdict": verdict, "empirical": empirical,
+           "witness_seed": witness_seed, "witness": witness, "expected": expected,
+           "matches_nominal": verdict == expected}
     if (kind_token, axiom) in KNOWN_DEVIATIONS:
         row["known_deviation"] = KNOWN_DEVIATIONS[(kind_token, axiom)]
     return row
 
 
+def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
+    """Audit a single (kind, axiom) cell and return its row."""
+    return _cell_row(kind_token, axiom, *_first_witnesses(axiom, [kind_token], trials, seed)[0])
+
+
 # Table of distance-property columns audited against the published
 # property table: family token and the power to test.
 PROPERTY_COLUMNS = (
-    ("tr", None),
+    ("tr", 1.0),
     ("hs", 1.0),
     ("hs", 2.0),
     ("lp3", 1.0),
@@ -270,14 +300,13 @@ PROPERTY_COLUMNS = (
 
 
 def run_property_table(trials: int, seed: int) -> list[dict]:
-    """Audit the distance-property pattern for each tabulated column."""
+    """Audit the distance-property pattern for each tabulated column; each
+    probe is drawn once and evaluated for every column."""
+    kinds = [metrics.parse_kind(token).with_power(power) for token, power in PROPERTY_COLUMNS]
     rows = []
-    for token, power in PROPERTY_COLUMNS:
-        kind = metrics.parse_kind(token)
-        if power is not None:
-            kind = kind.with_power(power)
+    for kind, reports in zip(kinds, metrics._property_reports(kinds, trials, seed)):
         expected = expected_distance_properties(kind)
-        for report in check_distance_properties(kind, trials, seed):
+        for report in reports:
             rows.append(
                 {
                     **report.to_json(),
@@ -291,18 +320,24 @@ def run_property_table(trials: int, seed: int) -> list[dict]:
 def run_audit(trials: int, seed: int, property_trials: int | None = None) -> dict:
     """Full audit: all (kind, axiom) cells plus the distance-property table.
 
-    pattern_match is true only when every axiom verdict equals the nominal
-    table and every property outcome equals the published property table;
-    the known part-discard deviation therefore makes it false.
+    Each axiom is searched for all AUDIT_KINDS at once.  pattern_match is
+    true only when every axiom verdict equals the nominal table and every
+    property outcome equals the published property table; the known
+    part-discard deviation therefore makes it false.  Trial counts below 1
+    raise OutOfRange.
     """
-    axiom_rows = [
-        run_axiom_cell(kind, axiom, trials, seed)
-        for kind in AUDIT_KINDS
+    if property_trials is None:
+        property_trials = trials
+    for name, count in (("trials", trials), ("property_trials", property_trials)):
+        if count < 1:
+            raise OutOfRange(f"{name} must be at least 1, got {count}")
+    cells = {
+        (token, axiom): _cell_row(token, axiom, *found)
         for axiom in AXIOMS
-    ]
-    property_rows = run_property_table(
-        trials if property_trials is None else property_trials, seed
-    )
+        for token, found in zip(AUDIT_KINDS, _first_witnesses(axiom, AUDIT_KINDS, trials, seed))
+    }
+    axiom_rows = [cells[token, axiom] for token in AUDIT_KINDS for axiom in AXIOMS]
+    property_rows = run_property_table(property_trials, seed)
     mismatches = [
         {"kind": r["kind"], "axiom": r["axiom"], "verdict": r["verdict"], "expected": r["expected"]}
         for r in axiom_rows

@@ -131,31 +131,31 @@ def build_dilation(
     return setup
 
 
+def _global_matrices(setup: DilationSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Omega_0 = rho (x) |e0><e0| and Omega_t = U Omega_0 U^dag as matrices."""
+    d_e = setup.environment_dim
+    ground = np.zeros((d_e, d_e), dtype=complex)
+    ground[setup.env_ground, setup.env_ground] = 1.0
+    omega0 = np.kron(setup.system_state.matrix, ground)
+    return omega0, setup.unitary @ omega0 @ setup.unitary.conj().T
+
+
 def evolve(setup: DilationSetup) -> tuple[DensityMatrix, DensityMatrix]:
     """Global states before and after the measurement interaction.
 
     Returns (Omega_0, Omega_t) with Omega_0 = rho (x) |e0><e0| and
     Omega_t = U Omega_0 U^dag, both on dims = system dims + (d_E,).
     """
-    rho = setup.system_state
-    d_e = setup.environment_dim
-    ground = np.zeros((d_e, d_e), dtype=complex)
-    ground[setup.env_ground, setup.env_ground] = 1.0
-    dims = rho.dims + (d_e,)
-    omega0 = np.kron(rho.matrix, ground)
-    omega_t = setup.unitary @ omega0 @ setup.unitary.conj().T
+    dims = setup.system_state.dims + (setup.environment_dim,)
+    omega0, omega_t = _global_matrices(setup)
     return DensityMatrix(omega0, dims), DensityMatrix(omega_t, dims)
 
 
 def dilation_reduction_residual(setup: DilationSetup) -> float:
     """Max entrywise |Tr_E[U (rho (x) |e0><e0|) U^dag] - Phi_A(rho)|."""
     rho = setup.system_state
-    d_e = setup.environment_dim
-    ground = np.zeros((d_e, d_e), dtype=complex)
-    ground[setup.env_ground, setup.env_ground] = 1.0
-    omega_t = setup.unitary @ np.kron(rho.matrix, ground) @ setup.unitary.conj().T
-    n_sys = len(rho.dims)
-    reduced = linalg.partial_trace(omega_t, rho.dims + (d_e,), range(n_sys))
+    dims = rho.dims + (setup.environment_dim,)
+    reduced = linalg.partial_trace(_global_matrices(setup)[1], dims, range(len(rho.dims)))
     return float(np.abs(reduced - phi_map(rho.matrix, setup.observable)).max())
 
 

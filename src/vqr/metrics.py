@@ -21,7 +21,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
-from .states import DensityMatrix, haar_unitary, random_density
+from .channels import phi_map
+from .states import DensityMatrix, haar_unitary, random_density, random_observable
 
 # Eigenvalues at or below this are treated as the kernel in support checks.
 KERNEL_TOL = 1e-12
@@ -222,13 +223,33 @@ def distance(kind: DistanceKind, rho, sigma) -> float:
     return powered_distance(kind.with_power(1.0), rho, sigma)
 
 
+def _exponent(kind: DistanceKind) -> float:
+    """The power of kind's native distance that gives d_kind ** kind.power:
+    Bures and Hellinger are computed natively as squares."""
+    return kind.power / 2.0 if kind.family in ("bu", "he") else kind.power
+
+
+def _native_distance(kind: DistanceKind, rho, sigma) -> float:
+    if kind.family == "bu":
+        return bures_distance_sq(rho, sigma)
+    if kind.family == "he":
+        return hellinger_distance_sq(rho, sigma)
+    return lp_distance(rho, sigma, kind.schatten_p)
+
+
 def powered_distance(kind: DistanceKind, rho, sigma) -> float:
     """d_kind ** kind.power, computed without a lossy sqrt round-trip."""
-    if kind.family == "bu":
-        return bures_distance_sq(rho, sigma) ** (kind.power / 2.0)
-    if kind.family == "he":
-        return hellinger_distance_sq(rho, sigma) ** (kind.power / 2.0)
-    return lp_distance(rho, sigma, kind.schatten_p) ** kind.power
+    return _native_distance(kind, rho, sigma) ** _exponent(kind)
+
+
+def _powered_distances(kinds, rho, sigma) -> list[float]:
+    """powered_distance of each kind, with each native distance computed
+    once and raised to each kind's exponent (the same bits)."""
+    natives = {}
+    for kind in kinds:
+        if (kind.family, kind.p) not in natives:
+            natives[kind.family, kind.p] = _native_distance(kind, rho, sigma)
+    return [natives[k.family, k.p] ** _exponent(k) for k in kinds]
 
 
 # --------------------------------------------------------------------------
@@ -316,14 +337,6 @@ def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
     return _renyi(r, alpha, float((w[w > linalg.SPECTRAL_FLOOR] ** alpha).sum()))
 
 
-def divergence(kind: DivergenceKind, rho, sigma) -> float:
-    if kind.family == "vn":
-        return relative_entropy(rho, sigma)
-    if kind.family == "renyi":
-        return renyi_divergence(rho, sigma, kind.alpha)
-    return sandwiched_renyi_divergence(rho, sigma, kind.alpha)
-
-
 # --------------------------------------------------------------------------
 # Empirical property checks
 # --------------------------------------------------------------------------
@@ -359,58 +372,38 @@ def _random_pair(seed, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rho.matrix, sig.matrix
 
 
-def _stinespring_channel(seed, d: int):
-    """Random CPTP map from a Haar isometry with a dim-2 environment."""
-    u = haar_unitary(2 * d, seed)
-    v = u[:, :d]  # isometry C^d -> C^d (x) C^2
-
-    def channel(m: np.ndarray) -> np.ndarray:
-        return linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0)
-
-    return channel
+# Each property check draws trial i's probes once and yields, per probe,
+# the excess of every kind; a trial violates the property for a kind when
+# one of its excesses is above the check's tolerance.
 
 
-def _check_positive_definiteness(kind, seed, trials):
+def _positive_definiteness(kinds, seed, i):
     # Bures/Hellinger are computed natively as squares; a lower power near
     # zero would amplify O(eps) roundoff to O(sqrt(eps)), so the
     # identity-of-indiscernibles check runs on the squared form.
-    squared = kind.with_power(2.0)
-    violations, worst, example = 0, 0.0, None
-    for i in range(trials):
-        s = seed + i
-        d = 2 + (i % 3)
-        rho, sig = _random_pair(s, d)
-        value = powered_distance(kind, rho, sig)
-        self_value = powered_distance(squared, rho, rho)
+    rho, sig = _random_pair(seed, 2 + (i % 3))
+    values = _powered_distances(kinds, rho, sig)
+    self_values = _powered_distances([k.with_power(2.0) for k in kinds], rho, rho)
+    apart = trace_distance(rho, sig) > 1e-6
+    bads = []
+    for value, self_value in zip(values, self_values):
         bad = max(-value, self_value - 1e-10)
-        if trace_distance(rho, sig) > 1e-6 and value <= 1e-12:
+        if apart and value <= 1e-12:
             bad = max(bad, 1e-12 - value)
-        if bad > 0.0:
-            violations += 1
-            if example is None or bad > worst:
-                example = s
-        worst = max(worst, bad)
-    return violations, worst, example
+        bads.append(bad)
+    yield bads
 
 
-def _check_unitary_invariance(kind, seed, trials):
-    violations, worst, example = 0, 0.0, None
-    for i in range(trials):
-        s = seed + i
-        d = 2 + (i % 3)
-        rho, sig = _random_pair(s, d)
-        u = haar_unitary(d, s + 13)
-        before = powered_distance(kind, rho, sig)
-        after = powered_distance(kind, u @ rho @ u.conj().T, u @ sig @ u.conj().T)
-        dev = abs(after - before)
-        if dev > 1e-9:
-            violations += 1
-            example = example if example is not None else s
-        worst = max(worst, dev)
-    return violations, worst, example
+def _unitary_invariance(kinds, seed, i):
+    d = 2 + (i % 3)
+    rho, sig = _random_pair(seed, d)
+    u = haar_unitary(d, seed + 13)
+    before = _powered_distances(kinds, rho, sig)
+    after = _powered_distances(kinds, u @ rho @ u.conj().T, u @ sig @ u.conj().T)
+    yield [abs(a - b) for a, b in zip(after, before)]
 
 
-def _jc_probes(seed, i):
+def _joint_convexity(kinds, seed, i):
     """One random joint-convexity probe and one structured probe mixing the
     pairs (rho, rho) and (rho, sigma) with orthogonal pure states; the
     structured case is where first-power Bures and Hellinger convexity
@@ -418,82 +411,74 @@ def _jc_probes(seed, i):
     d = 2 + (i % 3)
     rho1, sig1 = _random_pair(seed, d)
     rho2, sig2 = _random_pair(seed + 104729, d)
-    lam = float(np.random.default_rng(seed + 3).uniform(0.1, 0.9))
-    yield lam, (rho1, sig1), (rho2, sig2)
-    p0 = np.zeros((d, d), dtype=complex)
-    p1 = np.zeros((d, d), dtype=complex)
-    p0[0, 0] = 1.0
-    p1[1, 1] = 1.0
-    yield 0.5, (p0, p0), (p0, p1)
+    weight = float(np.random.default_rng(seed + 3).uniform(0.1, 0.9))
+    p0, p1 = (np.diag(np.eye(d, dtype=complex)[k]) for k in (0, 1))
+    for lam, (r1, s1), (r2, s2) in (
+        (weight, (rho1, sig1), (rho2, sig2)),
+        (0.5, (p0, p0), (p0, p1)),
+    ):
+        mixed = _powered_distances(kinds, lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2)
+        ones = _powered_distances(kinds, r1, s1)
+        twos = _powered_distances(kinds, r2, s2)
+        yield [m - (lam * a + (1 - lam) * b) for m, a, b in zip(mixed, ones, twos)]
 
 
-def _check_joint_convexity(kind, seed, trials):
-    violations, worst, example = 0, 0.0, None
-    for i in range(trials):
-        s = seed + i
-        hit = False
-        for lam, (r1, s1), (r2, s2) in _jc_probes(s, i):
-            lhs = powered_distance(
-                kind, lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2
-            )
-            rhs = lam * powered_distance(kind, r1, s1) + (1 - lam) * powered_distance(
-                kind, r2, s2
-            )
-            excess = lhs - rhs
-            if excess > 1e-10:
-                hit = True
-                example = example if example is not None else s
-            worst = max(worst, excess)
-        violations += int(hit)
-    return violations, worst, example
-
-
-def _contractivity_probes(seed, i):
-    """A random Stinespring channel, a projective-measurement channel, and
-    a bystander-discard probe (where HS/L_p contractivity breaks)."""
-    from .channels import phi_map
-    from .states import random_observable
-
+def _contractivity(kinds, seed, i):
+    """A random Stinespring channel (a Haar isometry with a dim-2
+    environment), a projective-measurement channel, and a bystander-discard
+    probe (where HS/L_p contractivity breaks)."""
     d = 2 + (i % 3)
     rho, sig = _random_pair(seed, d)
-    yield rho, sig, _stinespring_channel(seed + 37, d)
-
+    v = haar_unitary(2 * d, seed + 37)[:, :d]  # isometry C^d -> C^d (x) C^2
     obs = random_observable(d, seed + 101)
-    yield rho, sig, lambda m, o=obs: phi_map(m, o)
-
     eye2 = np.eye(2) / 2
-    yield (
-        np.kron(rho, eye2),
-        np.kron(sig, eye2),
-        lambda m, d=d: linalg.partial_trace(m, (d, 2), 0),
-    )
+    for r, g, channel in (
+        (rho, sig, lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0)),
+        (rho, sig, lambda m: phi_map(m, obs)),
+        (np.kron(rho, eye2), np.kron(sig, eye2), lambda m: linalg.partial_trace(m, (d, 2), 0)),
+    ):
+        before = _powered_distances(kinds, r, g)
+        after = _powered_distances(kinds, channel(r), channel(g))
+        yield [a - b for a, b in zip(after, before)]
 
 
-def _check_contractivity(kind, seed, trials):
-    violations, worst, example = 0, 0.0, None
-    for i in range(trials):
-        s = seed + i
-        hit = False
-        for r, g, channel in _contractivity_probes(s, i):
-            before = powered_distance(kind, r, g)
-            after = powered_distance(kind, channel(r), channel(g))
-            excess = after - before
-            if excess > 1e-10:
-                hit = True
-                example = example if example is not None else s
-            worst = max(worst, excess)
-        violations += int(hit)
-    return violations, worst, example
-
-
+# Property -> (check, tolerance).  A report's example_seed is the trial of
+# the first violation, except for positive definiteness, where it is the
+# trial of the largest one.
 _PROPERTY_CHECKS = {
-    "positive_definiteness": _check_positive_definiteness,
-    "unitary_invariance": _check_unitary_invariance,
-    "joint_convexity": _check_joint_convexity,
-    "contractivity": _check_contractivity,
+    "positive_definiteness": (_positive_definiteness, 0.0),
+    "unitary_invariance": (_unitary_invariance, 1e-9),
+    "joint_convexity": (_joint_convexity, 1e-10),
+    "contractivity": (_contractivity, 1e-10),
 }
 
 PROPERTY_NAMES = tuple(_PROPERTY_CHECKS)
+
+
+def _property_reports(kinds, trials: int, seed: int) -> list[list[PropertyReport]]:
+    """check_distance_properties of every kind, each probe drawn once for
+    all of them; one list of reports per kind."""
+    reports = [[] for _ in kinds]
+    for name, (check, tol) in _PROPERTY_CHECKS.items():
+        tallies = [[0, 0.0, None] for _ in kinds]  # violations, worst, example
+        for i in range(trials):
+            s = seed + i
+            hit = [False] * len(kinds)
+            for excesses in check(kinds, s, i):
+                for k, (tally, excess) in enumerate(zip(tallies, excesses)):
+                    if excess > tol:
+                        hit[k] = True
+                        worst_so_far = name == "positive_definiteness" and excess > tally[1]
+                        if tally[2] is None or worst_so_far:
+                            tally[2] = s
+                    tally[1] = max(tally[1], excess)
+            for tally, violated in zip(tallies, hit):
+                tally[0] += violated
+        for kind, kind_reports, (violations, worst, example) in zip(kinds, reports, tallies):
+            kind_reports.append(
+                PropertyReport(kind.label(), name, trials, violations, float(worst), example)
+            )
+    return reports
 
 
 def check_distance_properties(
@@ -502,13 +487,7 @@ def check_distance_properties(
     """Empirically test positive definiteness, unitary invariance, joint
     convexity and contractivity of `kind` at its configured power, over
     seeded random instances plus structured probes."""
-    reports = []
-    for name, check in _PROPERTY_CHECKS.items():
-        violations, worst, example = check(kind, seed, trials)
-        reports.append(
-            PropertyReport(kind.label(), name, trials, violations, float(worst), example)
-        )
-    return reports
+    return _property_reports([kind], trials, seed)[0]
 
 
 def expected_distance_properties(kind: DistanceKind) -> dict[str, bool]:

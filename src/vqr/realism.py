@@ -43,8 +43,9 @@ class RealismReport:
     @property
     def axioms_unverified(self) -> bool:
         """True for L_p orders outside {1, 2}, whose axiom status is only
-        tested empirically."""
-        return isinstance(self.kind, DistanceKind) and self.kind.p is not None
+        tested empirically; lp1 and lp2 are the trace and Hilbert-Schmidt
+        quantifiers."""
+        return isinstance(self.kind, DistanceKind) and self.kind.p not in (None, 1.0, 2.0)
 
     def to_json(self) -> dict:
         params = {}

@@ -205,6 +205,14 @@ plot for [k in "{kinds}"] "{csv}" \\
 """
 
 
+def _angles(text: str) -> list[float]:
+    """The comma-separated angles of `vqr mu --phi`."""
+    try:
+        return [float(p) for p in text.split(",") if p]
+    except ValueError:
+        raise OutOfRange(f"--phi takes comma-separated numbers, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One sweep: its runner, CSV columns and default kinds, the grid it
@@ -232,7 +240,7 @@ EXPERIMENTS = {
         run_mu_sweep, MU_FIELDS, MU_KINDS,
         lambda args: {
             "mu_steps": args.mu_steps,
-            "phis": [float(p) for p in args.phi.split(",") if p],
+            "phis": _angles(args.phi),
         },
         dict(xlabel="mu", ylabel="realism", xcol=2, kindcol=4, ycol=5),
     ),

@@ -22,14 +22,20 @@ from .channels import (
     dilation_reduction_residual,
     phi_map,
 )
-from .realism import (
-    delta_conditional_information,
-    delta_conditional_information_dilated,
-)
+from .errors import OutOfRange
+from .realism import delta_conditional_information, delta_conditional_information_dilated
 from .states import random_density, random_observable
 
 DEFAULT_TOL = 1e-9
 LIMIT_TOL = 1e-3
+
+# Identities checked against a tolerance other than DEFAULT_TOL.
+_TOLERANCES = {
+    "renyi_limit_to_relative_entropy": LIMIT_TOL,
+    "sandwiched_limit_to_relative_entropy": LIMIT_TOL,
+    "dilation_reduction": 1e-10,
+    "dilation_invariance": 1e-10,
+}
 
 _PINCHING_FUNCTIONS = {
     "identity": lambda w: w,
@@ -48,136 +54,99 @@ def _instance(seed, i, max_d_a=3):
     return rho, a
 
 
-def _pinching_identity_residual(fname, trials, seed):
-    f = _PINCHING_FUNCTIONS[fname]
-    worst = 0.0
-    for i in range(trials):
-        s = seed + i
-        rho, a = _instance(s, i)
-        sigma = random_density(rho.dim, rho.dim, s + 777, dims=rho.dims)
-        f_phi_sigma = linalg.matrix_function(phi_map(sigma.matrix, a), f, clip_psd=True)
+def _pinching_group(s, i):
+    """Pinching trace identity Tr(rho f(Phi(sigma))) = Tr(Phi(rho) f(Phi(sigma)))
+    for each f, and the Hilbert-Schmidt purity loss
+    ||rho||_2^2 - ||Phi(rho)||_2^2 = ||rho - Phi(rho)||_2^2."""
+    rho, a = _instance(s, i)
+    sigma = random_density(rho.dim, rho.dim, s + 777, dims=rho.dims)
+    phi = phi_map(rho.matrix, a)
+    phi_sigma = phi_map(sigma.matrix, a)
+    for fname, f in _PINCHING_FUNCTIONS.items():
+        f_phi_sigma = linalg.matrix_function(phi_sigma, f, clip_psd=True)
         lhs = np.trace(rho.matrix @ f_phi_sigma)
-        rhs = np.trace(phi_map(rho.matrix, a) @ f_phi_sigma)
-        worst = max(worst, abs(complex(lhs - rhs)))
-    return worst
+        rhs = np.trace(phi @ f_phi_sigma)
+        yield f"pinching_trace_identity_{fname}", abs(complex(lhs - rhs))
+    lhs = linalg.schatten_norm(rho.matrix, 2) ** 2 - linalg.schatten_norm(phi, 2) ** 2
+    rhs = linalg.schatten_norm(rho.matrix - phi, 2) ** 2
+    yield "hs_purity_loss_identity", abs(lhs - rhs)
 
 
-def _purity_loss_residual(trials, seed):
-    worst = 0.0
-    for i in range(trials):
-        s = seed + i
-        rho, a = _instance(s, i)
-        phi = phi_map(rho.matrix, a)
-        lhs = (
-            linalg.schatten_norm(rho.matrix, 2) ** 2
-            - linalg.schatten_norm(phi, 2) ** 2
-        )
-        rhs = linalg.schatten_norm(rho.matrix - phi, 2) ** 2
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def _closed_form_residual(kind, trials, seed):
-    worst = 0.0
-    for i in range(trials):
-        s = seed + i
-        rho, a = _instance(s, i, max_d_a=4)
+def _closed_form_group(s, i):
+    """Closed-form against full-dilation information gain for each kind."""
+    rho, a = _instance(s, i, max_d_a=4)
+    for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3"):
+        kind = metrics.parse_kind(token)
         closed = delta_conditional_information(rho, a, kind)
         full = delta_conditional_information_dilated(rho, a, kind)
-        worst = max(worst, abs(closed - full))
-    return worst
+        yield f"information_gain_closed_form_{token}", abs(closed - full)
 
 
-def _renyi_identity_residual(which, trials, seed):
-    worst = 0.0
-    for i in range(trials):
-        s = seed + i
-        d = 2 + (i % 3)
-        rho = random_density(d, d, s)
-        sigma = random_density(d, max(1, d - (i % 2)), s + 104729)
-        if which == "bures":
-            lhs = metrics.bures_distance_sq(rho, sigma)
-            div = metrics.sandwiched_renyi_divergence(rho, sigma, 0.5)
-        else:
-            lhs = metrics.hellinger_distance_sq(rho, sigma)
-            div = metrics.renyi_divergence(rho, sigma, 0.5)
-        rhs = 2.0 - 2.0 * np.exp(-0.5 * div)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def _renyi_group(s, i):
+    """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2)."""
+    d = 2 + (i % 3)
+    rho = random_density(d, d, s)
+    sigma = random_density(d, max(1, d - (i % 2)), s + 104729)
+    for name, distance_sq, div in (
+        ("bures_from_sandwiched_renyi_half", metrics.bures_distance_sq,
+         metrics.sandwiched_renyi_divergence),
+        ("hellinger_from_renyi_half", metrics.hellinger_distance_sq, metrics.renyi_divergence),
+    ):
+        rhs = 2.0 - 2.0 * np.exp(-0.5 * div(rho, sigma, 0.5))
+        yield name, abs(distance_sq(rho, sigma) - rhs)
 
 
-def _alpha_limit_residual(which, trials, seed):
-    fn = (
-        metrics.renyi_divergence
-        if which == "renyi"
-        else metrics.sandwiched_renyi_divergence
-    )
-    worst = 0.0
-    for i in range(trials):
-        s = seed + i
-        d = 2 + (i % 3)
-        rho = random_density(d, d, s)
-        sigma = random_density(d, d, s + 104729)
-        reference = metrics.relative_entropy(rho, sigma)
+def _limit_group(s, i):
+    """Both Renyi divergences tend to the relative entropy as alpha -> 1."""
+    d = 2 + (i % 3)
+    rho = random_density(d, d, s)
+    sigma = random_density(d, d, s + 104729)
+    reference = metrics.relative_entropy(rho, sigma)
+    for name, div in (
+        ("renyi_limit_to_relative_entropy", metrics.renyi_divergence),
+        ("sandwiched_limit_to_relative_entropy", metrics.sandwiched_renyi_divergence),
+    ):
         for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
-            worst = max(worst, abs(fn(rho, sigma, alpha) - reference))
-    return worst
+            yield name, abs(div(rho, sigma, alpha) - reference)
 
 
-def _dilation_residual(which, trials, seed):
-    worst = 0.0
+def _dilation_group(s, i):
+    """The dilation's reduction and invariance contracts."""
+    rho, a = _instance(s, i, max_d_a=4)
+    setup = build_dilation(rho, a)
+    yield "dilation_reduction", dilation_reduction_residual(setup)
+    yield "dilation_invariance", dilation_invariance_residual(setup)
+
+
+# Each group draws trial i's instances once, at its own offset from the
+# seed, and yields (identity, residual) for every identity it checks.
+_GROUPS = (
+    (0, _pinching_group),
+    (1000, _closed_form_group),
+    (2000, _renyi_group),
+    (3000, _limit_group),
+    (4000, _dilation_group),
+)
+
+
+def _max_residuals(group, trials, seed) -> dict[str, float]:
+    """The worst residual of each of the group's identities over the trials."""
+    worst = {}
     for i in range(trials):
-        s = seed + i
-        rho, a = _instance(s, i, max_d_a=4)
-        setup = build_dilation(rho, a)
-        if which == "reduction":
-            worst = max(worst, dilation_reduction_residual(setup))
-        else:
-            worst = max(worst, dilation_invariance_residual(setup))
+        for identity, residual in group(seed + i, i):
+            worst[identity] = max(worst.get(identity, 0.0), residual)
     return worst
 
 
 def run_verify(trials: int, seed: int) -> dict:
-    """Run the whole identity suite; one row per identity."""
+    """Run the whole identity suite; one row per identity.  A trial count
+    below 1 raises OutOfRange."""
+    if trials < 1:
+        raise OutOfRange(f"trials must be at least 1, got {trials}")
     rows = []
-
-    def add(identity, residual, tolerance=DEFAULT_TOL, n=None):
-        rows.append(
-            {
-                "identity": identity,
-                "trials": trials if n is None else n,
-                "max_residual": float(residual),
-                "tolerance": tolerance,
-                "pass": bool(residual < tolerance),
-            }
-        )
-
-    for fname in _PINCHING_FUNCTIONS:
-        add(f"pinching_trace_identity_{fname}", _pinching_identity_residual(fname, trials, seed))
-    add("hs_purity_loss_identity", _purity_loss_residual(trials, seed))
-    for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3"):
-        add(
-            f"information_gain_closed_form_{token}",
-            _closed_form_residual(metrics.parse_kind(token), trials, seed + 1000),
-        )
-    add("bures_from_sandwiched_renyi_half", _renyi_identity_residual("bures", trials, seed + 2000))
-    add("hellinger_from_renyi_half", _renyi_identity_residual("hellinger", trials, seed + 2000))
-    add(
-        "renyi_limit_to_relative_entropy",
-        _alpha_limit_residual("renyi", trials, seed + 3000),
-        tolerance=LIMIT_TOL,
-    )
-    add(
-        "sandwiched_limit_to_relative_entropy",
-        _alpha_limit_residual("sandwiched", trials, seed + 3000),
-        tolerance=LIMIT_TOL,
-    )
-    add("dilation_reduction", _dilation_residual("reduction", trials, seed + 4000), 1e-10)
-    add("dilation_invariance", _dilation_residual("invariance", trials, seed + 4000), 1e-10)
-
-    return {
-        "seed": seed,
-        "trials": trials,
-        "identities": rows,
-        "pass": all(r["pass"] for r in rows),
-    }
+    for offset, group in _GROUPS:
+        for identity, residual in _max_residuals(group, trials, seed + offset).items():
+            tolerance = _TOLERANCES.get(identity, DEFAULT_TOL)
+            rows.append({"identity": identity, "trials": trials, "max_residual": float(residual),
+                         "tolerance": tolerance, "pass": bool(residual < tolerance)})
+    return {"seed": seed, "trials": trials, "identities": rows, "pass": all(r["pass"] for r in rows)}

@@ -40,7 +40,7 @@ from vqr.states import (
     spin_observable,
     werner,
 )
-from vqr.verify import _pinching_identity_residual, _purity_loss_residual
+from vqr.verify import _max_residuals, _pinching_group
 
 SEED = 20240
 SIGMA_Z_ON_FIRST = computational_observable(2, 0, (2, 2))
@@ -136,9 +136,10 @@ def test_criterion_4_closed_form_matches_dilation():
 
 def test_criterion_5_pinching_and_purity_identities():
     with _Budget(5, "pinching and purity-loss identities", 10.0):
+        residuals = _max_residuals(_pinching_group, 100, SEED)
         for fname in ("identity", "square", "sqrt", "exp"):
-            assert _pinching_identity_residual(fname, 100, SEED) < 1e-9
-        assert _purity_loss_residual(100, SEED) < 1e-9
+            assert residuals[f"pinching_trace_identity_{fname}"] < 1e-9
+        assert residuals["hs_purity_loss_identity"] < 1e-9
 
 
 def test_criterion_6_dilation_contracts():

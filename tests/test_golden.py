@@ -1,10 +1,15 @@
-"""Byte-exact golden outputs of the sweep commands at README defaults.
+"""Byte-exact golden outputs of the CLI.
 
 The files under tests/golden/ are the stdout of `vqr werner`, `vqr mu` and
-`vqr rmax` with no options, recorded with numpy 2.4.6 on OpenBLAS
+`vqr rmax` with no options, of `vqr audit --trials 20 --property-trials 20`
+and of `vqr verify --trials 10`, recorded with numpy 2.4.6 on OpenBLAS
 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  A few entries of
 mu.csv are at the 1e-16 rounding level, so they depend on the BLAS build:
 on another build this test can fail although the program is correct.
+
+At 20 trials `hs` and `lp3` find their axiom2b witness at trial 0 while
+`tr`, `bu` and `he` search every trial, so audit.json pins each kind's own
+first witness within a search that tests all kinds together.
 """
 
 from pathlib import Path
@@ -16,9 +21,19 @@ from vqr.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command", ["werner", "mu", "rmax"])
-def test_sweep_stdout_matches_golden(command, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, code, name",
+    [
+        (["werner"], 0, "werner.csv"),
+        (["mu"], 0, "mu.csv"),
+        (["rmax"], 0, "rmax.csv"),
+        (["audit", "--trials", "20", "--property-trials", "20"], 2, "audit.json"),
+        (["verify", "--trials", "10"], 0, "verify.json"),
+    ],
+    ids=["werner", "mu", "rmax", "audit", "verify"],
+)
+def test_sweep_stdout_matches_golden(argv, code, name, capsys, monkeypatch):
     monkeypatch.delenv("VQR_SEED", raising=False)
-    assert main([command]) == 0
-    expected = (GOLDEN / f"{command}.csv").read_text(encoding="utf-8")
+    assert main(argv) == code
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -6,9 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from vqr.audit import AXIOMS, AUDIT_KINDS, PROPERTY_COLUMNS, run_audit, run_axiom_cell
+from vqr import audit
+from vqr.audit import (
+    AXIOMS,
+    AUDIT_KINDS,
+    PROPERTY_COLUMNS,
+    run_audit,
+    run_axiom_cell,
+    run_property_table,
+)
 from vqr.cli import main
 from vqr.errors import InvalidAlpha, InvalidOrder, OutOfRange
+from vqr.metrics import check_distance_properties
 from vqr.sweeps import (
     MU_KINDS,
     RMAX_KINDS,
@@ -165,6 +174,55 @@ class TestAudit:
         second = run_axiom_cell("tr", "axiom1", 20, SEED)
         assert first == second
 
+    @pytest.mark.parametrize("trials", [1, 7, 20])
+    def test_shared_search_matches_each_single_cell(self, trials):
+        # run_audit searches each axiom for all kinds at once; every cell
+        # must equal the cell searched on its own.
+        cells = {
+            (r["kind"], r["axiom"]): r
+            for r in run_audit(trials, SEED, property_trials=1)["axioms"]
+        }
+        assert len(cells) == len(AUDIT_KINDS) * len(AXIOMS)
+        for kind in AUDIT_KINDS:
+            for axiom in AXIOMS:
+                assert run_axiom_cell(kind, axiom, trials, SEED) == cells[(kind, axiom)]
+
+    def test_each_kind_keeps_its_own_first_witness(self, monkeypatch):
+        # A synthetic axiom whose cases fail for tr from case 0 and for hs
+        # from case 2: the shared search keeps testing hs (and bu, which
+        # never fails) after tr's witness, and tests tr no more.
+        first_failure = {"tr": 0, "hs": 2}
+        tested = []
+
+        def cases(seed, trials):
+            for i in range(trials):
+                def test(kind, i=i):
+                    tested.append((kind.token(), i))
+                    return f"case {i}" if i >= first_failure.get(kind.token(), trials) else None
+
+                yield seed + i, test
+
+        monkeypatch.setitem(audit._AXIOM_CASES, "axiom4", cases)
+        found = audit._first_witnesses("axiom4", ["tr", "hs", "bu"], 4, 0)
+        cell_seed = 1_000_000 * (AXIOMS.index("axiom4") + 1)
+        assert found == [("case 0", cell_seed), ("case 2", cell_seed + 2), (None, None)]
+        assert [i for token, i in tested if token == "tr"] == [0]
+        assert [i for token, i in tested if token == "bu"] == [0, 1, 2, 3]
+
+    def test_property_table_matches_each_single_column(self):
+        # run_property_table draws each probe once for all columns; each
+        # column must equal check_distance_properties run on it alone.
+        rows = run_property_table(10, SEED)
+        for token, power in PROPERTY_COLUMNS:
+            kind = parse_kind(token).with_power(power)
+            shared = [
+                {k: v for k, v in row.items() if k not in ("expected_pass", "matches_nominal")}
+                for row in rows
+                if row["kind"] == kind.label()
+            ]
+            single = [report.to_json() for report in check_distance_properties(kind, 10, SEED)]
+            assert shared == single, kind.label()
+
     def test_crosses_have_witnesses(self):
         result = run_audit(trials=40, seed=SEED, property_trials=20)
         cells = {(r["kind"], r["axiom"]): r for r in result["axioms"]}
@@ -262,6 +320,29 @@ class TestCli:
         payload = json.loads(path.read_text())
         assert payload["pattern_match"] is False
         assert [m.get("axiom") for m in payload["mismatches"]] == ["axiom2a"]
+
+    def test_mu_unreadable_phi_exits_one(self, capsys):
+        code = main(["mu", "--mu-steps", "3", "--phi", "abc"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("vqr: --phi takes comma-separated numbers")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "--trials", "-3"], "trials"),
+            (["verify", "--trials", "0"], "trials"),
+            (["audit", "--trials", "0"], "trials"),
+            (["audit", "--trials", "2", "--property-trials", "-1"], "property_trials"),
+        ],
+    )
+    def test_trial_count_below_one_exits_one(self, argv, name, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"vqr: {name} must be at least 1")
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:

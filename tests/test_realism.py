@@ -359,6 +359,21 @@ class TestRealismReport:
         report = realism(werner(0.8), SIGMA_Z_ON_FIRST, lp(3.0))
         assert report.axioms_unverified
         assert not realism(werner(0.8), SIGMA_Z_ON_FIRST, BURES).axioms_unverified
+        for p, flagged in ((1.0, False), (2.0, False), (1.5, True)):
+            assert realism(werner(0.8), SIGMA_Z_ON_FIRST, lp(p)).axioms_unverified is flagged
+
+    def test_lp1_and_lp2_are_the_trace_and_hs_quantifiers(self):
+        # Why lp1 and lp2 are not flagged: their closed forms reduce to the
+        # trace and Hilbert-Schmidt ones (agreement to roundoff, ~1e-15).
+        worst = 0.0
+        for i in range(50):
+            d_a, d_b = 2 + (i % 3), 2 + (i % 2)
+            rho = random_density(d_a * d_b, d_a * d_b - (i % 2), 300 + i, dims=(d_a, d_b))
+            obs = random_observable(d_a, 400 + i, subsystem=0, dims=(d_a, d_b))
+            for p, kind in ((1.0, TRACE), (2.0, HILBERT_SCHMIDT)):
+                lp_delta = delta_conditional_information(rho, obs, lp(p))
+                worst = max(worst, abs(lp_delta - delta_conditional_information(rho, obs, kind)))
+        assert worst < 1e-12
 
 
 class TestAxiomProperties:
