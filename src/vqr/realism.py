@@ -183,6 +183,7 @@ def delta_conditional_information(
     Hellinger (1/sqrt(d_E)) d_He^2(rho, Phi); general L_p the block
     formula; von Neumann the irrealism S(Phi(rho)) - S(rho).
     """
+    channels._require_same_space(rho, a)
     if _entropic(kind):
         return irrealism(rho, a)
     d_e = a.outcomes

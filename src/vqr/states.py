@@ -1,5 +1,5 @@
-"""Validated quantum states and observables, named state families, and
-seeded random sampling.
+"""Quantum states and observables, the boundary check for outside states,
+named state families, and seeded random sampling.
 
 Basis ordering is row-major over subsystems: a two-qubit state is indexed
 |00>, |01>, |10>, |11>.
@@ -39,7 +39,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, PSD, unit-trace matrix with subsystem-dimension metadata."""
+    """A density matrix with subsystem-dimension metadata.
+
+    Construction checks only that the matrix is square and that dims
+    factor its size, and keeps a read-only copy.  vqr builds its own states
+    this way; a matrix from outside vqr goes through `validate_state`.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -51,15 +56,6 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"dims {dims} do not factor a {arr.shape[0]}-dim matrix"
             )
-        defect = linalg.hermiticity_defect(arr)
-        if defect > linalg.TAU_HERM:
-            raise NotHermitian(f"state is not Hermitian (defect {defect:.3e})", defect)
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > TAU_TRACE:
-            raise TraceNotOne(f"state trace is {tr:.12g}, expected 1", float(tr.real))
-        w_min = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
-        if w_min < -linalg.TAU_PSD:
-            raise NotPSD(f"state has eigenvalue {w_min:.3e}", w_min)
         object.__setattr__(self, "matrix", _frozen(arr))
         object.__setattr__(self, "dims", dims)
 
@@ -80,12 +76,26 @@ class DensityMatrix:
 
 
 def validate_state(m, dims: Sequence[int]) -> DensityMatrix:
-    """Validate a raw matrix as a density matrix.
+    """Check a matrix from outside vqr and wrap it as a density matrix.
 
-    Raises NotHermitian, TraceNotOne or NotPSD naming the violated
-    invariant and its magnitude.
+    The one place a state's values are checked: raises OutOfRange for a
+    non-finite entry, then NotHermitian, TraceNotOne or NotPSD naming the
+    violated invariant and its magnitude.
     """
-    return DensityMatrix(np.asarray(m, dtype=complex), tuple(int(d) for d in dims))
+    rho = DensityMatrix(m, dims)
+    arr = rho.matrix
+    if not np.isfinite(arr).all():
+        raise OutOfRange("state has a non-finite entry")
+    defect = linalg.hermiticity_defect(arr)
+    if defect > linalg.TAU_HERM:
+        raise NotHermitian(f"state is not Hermitian (defect {defect:.3e})", defect)
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > TAU_TRACE:
+        raise TraceNotOne(f"state trace is {tr:.12g}, expected 1", float(tr.real))
+    w_min = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
+    if w_min < -linalg.TAU_PSD:
+        raise NotPSD(f"state has eigenvalue {w_min:.3e}", w_min)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +121,8 @@ class Observable:
         eigs = tuple(float(a) for a in self.eigenvalues)
         if len(projs) != len(eigs) or not projs:
             raise DimensionMismatch("need one eigenvalue per projector")
+        if not np.isfinite(eigs).all():
+            raise OutOfRange(f"eigenvalues must be finite, got {eigs}")
         if len(set(eigs)) != len(eigs):
             raise NonProjective(f"eigenvalues must be distinct, got {eigs}")
         total = np.zeros((d, d), dtype=complex)
@@ -119,6 +131,8 @@ class Observable:
                 raise DimensionMismatch(
                     f"projector {i} has shape {p.shape}, subsystem dim is {d}"
                 )
+            if not np.isfinite(p).all():
+                raise NonProjective(f"projector {i} has a non-finite entry")
             if linalg.hermiticity_defect(p) > PROJECTOR_TOL:
                 raise NonProjective(f"projector {i} is not Hermitian")
             if np.abs(p @ p - p).max() > PROJECTOR_TOL:
@@ -210,6 +224,9 @@ def spin_observable(
     u = (cos(theta) sin(phi), sin(theta) sin(phi), cos(phi)),
     as the two projectors onto its +1/-1 eigenstates.
     """
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(angle):
+            raise OutOfRange(f"{name} must be finite, got {angle}")
     ux = np.cos(theta) * np.sin(phi)
     uy = np.sin(theta) * np.sin(phi)
     uz = np.cos(phi)

@@ -328,6 +328,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("vqr: --phi takes comma-separated numbers")
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_mu_non_finite_phi_exits_one(self, phi, capsys):
+        code = main(["mu", "--mu-steps", "3", "--phi", f"0,{phi}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"vqr: phi must be finite, got {phi}\n"
+
     @pytest.mark.parametrize(
         "argv, name",
         [

@@ -13,6 +13,7 @@ from vqr.metrics import (
     VON_NEUMANN,
     hs_distance,
     lp,
+    parse_kind,
     relative_entropy,
     renyi,
     sandwiched_renyi,
@@ -290,6 +291,17 @@ class TestRealismMax:
         for _ in range(2):
             with pytest.raises(DimensionMismatch):
                 realism_max(TRACE, 1)
+
+
+@pytest.mark.parametrize("token", ["tr", "hs", "bu", "he", "lp1.5", "vn"])
+def test_observable_dims_must_match_state_dims(token):
+    # Both spaces are 6-dimensional, so only the dims tell them apart.
+    rho = random_density(6, 6, 60, dims=(2, 3))
+    obs = random_observable(3, 61, subsystem=0, dims=(3, 2))
+    kind = parse_kind(token)
+    for call in (delta_conditional_information, delta_conditional_information_dilated, realism):
+        with pytest.raises(DimensionMismatch, match="do not match state dims"):
+            call(rho, obs, kind)
 
 
 @pytest.mark.parametrize("kind", [renyi(0.5), sandwiched_renyi(2.0)], ids=lambda k: k.token())

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from vqr import states
+from vqr.channels import build_dilation, evolve, measure_nonselective, monitor
 from vqr.errors import (
     DimensionMismatch,
     NonProjective,
@@ -11,6 +14,7 @@ from vqr.errors import (
     TraceNotOne,
 )
 from vqr.states import (
+    DensityMatrix,
     Observable,
     computational_observable,
     density_from_json,
@@ -54,6 +58,28 @@ class TestValidateState:
     def test_dims_must_factor(self):
         with pytest.raises(DimensionMismatch):
             validate_state(np.eye(4) / 4, (3,))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.full((2, 2), np.nan),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[0.5, complex(0.0, -np.inf)], [complex(0.0, np.inf), 0.5]]),
+        ],
+        ids=["one-nan", "all-nan", "inf", "imaginary-inf"],
+    )
+    def test_non_finite_entry(self, m):
+        with pytest.raises(OutOfRange, match="non-finite"):
+            validate_state(m, (2,))
+
+    def test_constructor_checks_structure_only(self):
+        # Values are checked where a matrix enters vqr, not on every state
+        # vqr builds itself.
+        rho = DensityMatrix(np.diag([1.2, -0.2]), (2,))
+        assert rho.dims == (2,)
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(np.ones((2, 3)) / 2, (2,))
 
     def test_matrix_is_read_only(self):
         rho = validate_state(np.eye(2) / 2, (2,))
@@ -196,6 +222,30 @@ class TestObservableInvariants:
         obs = Observable((p0, p_block), (0.0, 1.0), 0, (3,))
         assert obs.outcomes == 2
 
+    def test_rejects_non_finite_projector(self):
+        p0 = np.diag([1.0, np.nan]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(NonProjective, match="projector 0 has a non-finite entry"):
+            Observable((p0, p1), (1.0, -1.0), 0, (2,))
+
+    @pytest.mark.parametrize(
+        "eigenvalues", [(np.nan, 1.0), (np.nan, np.nan), (1.0, np.inf)]
+    )
+    def test_rejects_non_finite_eigenvalue(self, eigenvalues):
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(OutOfRange, match="eigenvalues must be finite"):
+            Observable((p0, p1), eigenvalues, 0, (2,))
+
+    @pytest.mark.parametrize(
+        "theta, phi, name",
+        [(np.nan, 0.0, "theta"), (-np.inf, 0.0, "theta"), (0.0, np.nan, "phi"),
+         (0.0, np.inf, "phi")],
+    )
+    def test_spin_observable_rejects_non_finite_angle(self, theta, phi, name):
+        with pytest.raises(OutOfRange, match=f"^{name} must be finite"):
+            spin_observable(theta, phi)
+
     def test_operator_reconstruction(self):
         obs = spin_observable(0.0, 0.0)
         assert np.allclose(obs.operator(), np.diag([1.0, -1.0]))
@@ -268,6 +318,13 @@ class TestJsonWireFormat:
         with pytest.raises(TraceNotOne):
             density_from_json(obj)
 
+    def test_density_json_rejects_nan(self):
+        obj = json.loads(
+            '{"dims": [2], "entries": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}'
+        )
+        with pytest.raises(OutOfRange, match="non-finite"):
+            density_from_json(obj)
+
     def test_entry_count_checked(self):
         with pytest.raises(DimensionMismatch):
             density_from_json({"dims": [2], "entries": [[1.0, 0.0]]})
@@ -292,6 +349,21 @@ class TestDensityMatrixHelpers:
         assert np.trace(sub.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_constructors_yield_valid_states(self):
-        for rho in (werner(0.7), mu_state(0.4), max_entangled(3), random_density(4, 2, 8)):
+        # vqr's own constructors skip the value checks, so their outputs
+        # must pass them.
+        built = [werner(0.7), mu_state(0.4), max_entangled(3), random_density(4, 2, 8)]
+        for seed in (3, 8, 21):
+            rho = random_density(6, 3, seed, dims=(2, 3))
+            obs = random_observable(3, seed + 1, subsystem=1, dims=(2, 3))
+            built += [
+                rho.reduced(0),
+                rho.reduced(1),
+                random_pure((2, 3), seed),
+                random_density(5, 1, seed),
+                measure_nonselective(rho, obs),
+                *(monitor(rho, obs, eps) for eps in (0.0, 0.5, 1.0)),
+                *evolve(build_dilation(rho, obs)),
+            ]
+        for rho in built:
             revalidated = validate_state(np.array(rho.matrix), rho.dims)
             assert revalidated.dims == rho.dims
