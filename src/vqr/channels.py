@@ -4,6 +4,7 @@ the reality predicate, and the shift-register measurement dilation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +23,27 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
 
     The matrix must live in the observable's ambient space; it need not be
     a normalized state.
+
+    Two paths give the same bits on finite matrices:
+    - when every projector is an exact 0/1 diagonal (computational and
+      block observables), the pinching keeps the entries inside the
+      blocks and zeroes the rest, so it is one entrywise mask;
+    - otherwise it sums the 2 d_E dense products P_a m P_a over the
+      embedded projectors.
+    Both leave every zero as +0.0.
     """
     m = linalg.as_square(m)
-    projs = a.full_projectors
-    if projs[0].shape != m.shape:
+    n = math.prod(a.dims)
+    if m.shape[0] != n:
         raise DimensionMismatch(
-            f"matrix dim {m.shape[0]} does not match observable ambient dim "
-            f"{projs[0].shape[0]}"
+            f"matrix dim {m.shape[0]} does not match observable ambient dim {n}"
         )
+    mask = a._pinching_mask
+    if mask is not None:
+        # + 0.0 turns a kept -0.0 into +0.0, as the dense sum does
+        return np.where(mask, m, 0) + 0.0
     out = np.zeros_like(m)
-    for p in projs:
+    for p in a.full_projectors:
         out += p @ m @ p
     return out
 

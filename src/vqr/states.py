@@ -7,6 +7,8 @@ Basis ordering is row-major over subsystems: a two-qubit state is indexed
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -174,6 +176,28 @@ class Observable:
             _frozen(linalg.kron_all(eye_l, p, eye_r)) for p in self.projectors
         )
 
+    @cached_property
+    def _pinching_mask(self) -> np.ndarray | None:
+        """Where sum_a P_a m P_a keeps m's entries, or None.
+
+        Defined only when every projector is an exact 0/1 diagonal; then
+        ambient basis indices i and j share a block iff the subsystem
+        index (i // d_right) % d of each lies in the same projector.
+        Built from the d x d projectors, never from the embedded ones.
+        """
+        stack = np.array(self.projectors)
+        diag = np.diagonal(stack, axis1=1, axis2=2)
+        # every nonzero entry is a diagonal 1 iff the counts agree
+        if np.count_nonzero(stack) != np.count_nonzero(diag == 1):
+            return None
+        # 0/1 diagonals within PROJECTOR_TOL of completeness and
+        # orthogonality hold each index in exactly one projector
+        local = diag.real.argmax(axis=0)
+        d_right = math.prod(self.dims[self.subsystem + 1 :])
+        index = np.arange(math.prod(self.dims))
+        label = local[(index // d_right) % self.subsystem_dim]
+        return label[:, None] == label[None, :]
+
     def scoped(self, dims: Sequence[int], subsystem: int) -> "Observable":
         """The same projective decomposition placed in another ambient space."""
         return Observable(self.projectors, self.eigenvalues, subsystem, tuple(dims))
@@ -309,8 +333,46 @@ def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel()]
 
 
+def _field(obj, key: str):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise DimensionMismatch(f"JSON object has no {key!r} field") from None
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise DimensionMismatch(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
+def _json_int(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+
+
+def _json_dims(obj) -> tuple[int, ...]:
+    raw = _json_list(_field(obj, "dims"), "'dims'")
+    dims = tuple(_json_int(d, "'dims' entry") for d in raw)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"'dims' must be positive, got {list(dims)}")
+    return dims
+
+
 def matrix_from_entries(entries, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    """The dim x dim matrix of row-major [re, im] pairs; a malformed pair
+    raises DimensionMismatch, a non-numeric part OutOfRange."""
+    pairs = _json_list(entries, "'entries'")
+    flat = np.empty(len(pairs), dtype=complex)
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise DimensionMismatch(f"'entries'[{k}] is not a [re, im] pair: {pair!r}")
+        try:
+            flat[k] = complex(*pair)
+        except (TypeError, OverflowError):
+            raise OutOfRange(f"'entries'[{k}] is not a pair of numbers: {pair!r}") from None
     if flat.size != dim * dim:
         raise DimensionMismatch(f"{flat.size} entries cannot fill a {dim}x{dim} matrix")
     return flat.reshape(dim, dim)
@@ -321,9 +383,11 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
-    dims = tuple(int(d) for d in obj["dims"])
+    """Read a state; malformed fields raise DimensionMismatch or OutOfRange
+    naming the field, and the state's values go through validate_state."""
+    dims = _json_dims(obj)
     dim = int(np.prod(dims))
-    return validate_state(matrix_from_entries(obj["entries"], dim), dims)
+    return validate_state(matrix_from_entries(_field(obj, "entries"), dim), dims)
 
 
 def observable_to_json(obs: Observable) -> dict:
@@ -336,8 +400,20 @@ def observable_to_json(obs: Observable) -> dict:
 
 
 def observable_from_json(obj: dict) -> Observable:
-    dims = tuple(int(d) for d in obj["dims"])
-    sub = int(obj["subsystem"])
+    """Read an observable; malformed fields raise DimensionMismatch or
+    OutOfRange naming the field, and Observable checks the projectors."""
+    dims = _json_dims(obj)
+    sub = _json_int(_field(obj, "subsystem"), "'subsystem'")
+    if not 0 <= sub < len(dims):
+        raise DimensionMismatch(f"'subsystem' {sub} invalid for 'dims' {list(dims)}")
     d = dims[sub]
-    projs = tuple(matrix_from_entries(p["entries"], d) for p in obj["projectors"])
-    return Observable(projs, tuple(float(a) for a in obj["eigenvalues"]), sub, dims)
+    projs = tuple(
+        matrix_from_entries(_field(p, "entries"), d)
+        for p in _json_list(_field(obj, "projectors"), "'projectors'")
+    )
+    raw = _json_list(_field(obj, "eigenvalues"), "'eigenvalues'")
+    try:
+        eigs = tuple(float(a) for a in raw)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"'eigenvalues' must be numbers, got {raw!r}") from None
+    return Observable(projs, eigs, sub, dims)

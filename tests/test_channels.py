@@ -26,6 +26,7 @@ from vqr.states import (
     max_entangled,
     random_density,
     random_observable,
+    spin_observable,
     validate_state,
     werner,
 )
@@ -79,6 +80,63 @@ class TestMeasureNonselective:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             measure_nonselective(PLUS, SIGMA_Z_ON_FIRST)
+
+
+BLOCK_ON_SECOND = Observable(
+    (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])), (0.0, 1.0), 1, (2, 3)
+)
+
+
+class TestPinchingMask:
+    """The 0/1-diagonal mask path of phi_map against the dense sum."""
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            computational_observable(3, 0, (3, 2, 2)),
+            computational_observable(2, 1, (3, 2, 2)),
+            computational_observable(2, 2, (3, 2, 2)),
+            BLOCK_ON_SECOND,
+            spin_observable(0.7, 0.0),
+            spin_observable(2.5, 0.0),
+        ],
+        ids=["comp0", "comp1", "comp2", "block", "spin", "spin_neg_cos"],
+    )
+    def test_matches_dense_sum_bit_for_bit(self, obs):
+        assert obs._pinching_mask is not None
+        rng = np.random.default_rng(8)
+        n = int(np.prod(obs.dims))
+        for _ in range(5):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            # signed zeros inside and outside the blocks
+            m[0, 0] = complex(-0.0, -0.0)
+            m[0, n - 1] = complex(-0.0, 2.0)
+            dense = sum(p @ m @ p for p in obs.full_projectors)
+            out = phi_map(m, obs)
+            assert np.array_equal(out, dense)
+            assert np.array_equal(np.signbit(out.real), np.signbit(dense.real))
+            assert np.array_equal(np.signbit(out.imag), np.signbit(dense.imag))
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            random_observable(3, 21, subsystem=1, dims=(2, 3)),
+            spin_observable(0.0, np.pi / 4),
+            Observable(
+                (np.diag([1.0 + 1e-12, 0.0]), np.diag([0.0, 1.0])), (0.0, 1.0), 0, (2,)
+            ),
+        ],
+        ids=["random", "spin_tilted", "near_one"],
+    )
+    def test_no_mask_for_general_projectors(self, obs):
+        assert obs._pinching_mask is None
+
+    def test_wrong_size_still_rejected(self):
+        with pytest.raises(
+            DimensionMismatch,
+            match=r"^matrix dim 4 does not match observable ambient dim 6$",
+        ):
+            phi_map(np.eye(4), BLOCK_ON_SECOND)
 
 
 class TestMonitor:

@@ -1,11 +1,13 @@
 """Byte-exact golden outputs of the CLI.
 
 The files under tests/golden/ are the stdout of `vqr werner`, `vqr mu` and
-`vqr rmax` with no options, of `vqr audit --trials 20 --property-trials 20`
-and of `vqr verify --trials 10`, recorded with numpy 2.4.6 on OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  A few entries of
-mu.csv are at the 1e-16 rounding level, so they depend on the BLAS build:
-on another build this test can fail although the program is correct.
+`vqr rmax` with no options, of `vqr rmax --kinds tr,hs,bu,he,vn,lp1.5,lp3`
+(which adds the `vn` and `lp` rows), of `vqr audit --trials 20
+--property-trials 20` and of `vqr verify --trials 10`, recorded with numpy
+2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).
+A few entries of mu.csv are at the 1e-16 rounding level, so they depend on
+the BLAS build: on another build this test can fail although the program is
+correct.
 
 At 20 trials `hs` and `lp3` find their axiom2b witness at trial 0 while
 `tr`, `bu` and `he` search every trial, so audit.json pins each kind's own
@@ -27,10 +29,11 @@ GOLDEN = Path(__file__).parent / "golden"
         (["werner"], 0, "werner.csv"),
         (["mu"], 0, "mu.csv"),
         (["rmax"], 0, "rmax.csv"),
+        (["rmax", "--kinds", "tr,hs,bu,he,vn,lp1.5,lp3"], 0, "rmax_kinds.csv"),
         (["audit", "--trials", "20", "--property-trials", "20"], 2, "audit.json"),
         (["verify", "--trials", "10"], 0, "verify.json"),
     ],
-    ids=["werner", "mu", "rmax", "audit", "verify"],
+    ids=["werner", "mu", "rmax", "rmax_kinds", "audit", "verify"],
 )
 def test_sweep_stdout_matches_golden(argv, code, name, capsys, monkeypatch):
     monkeypatch.delenv("VQR_SEED", raising=False)

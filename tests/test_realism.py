@@ -233,7 +233,8 @@ class TestRealismMax:
         assert realism_max(HELLINGER, 2) == pytest.approx(np.sqrt(2) - 1, abs=1e-9)
         assert realism_max(VON_NEUMANN, 2) == pytest.approx(np.log(2), abs=1e-12)
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    # d_E = 12, 16 and 20 lie past the old dense-pinching ceiling of rmax
+    @pytest.mark.parametrize("d", [*range(2, 9), 12, 16, 20])
     def test_matches_analytic_closed_forms(self, d):
         # hand-derived: Tr 2(d-1)/d^2, HS (d-1)/d^2, Bu/He 2(sqrt(d)-1)/d
         assert realism_max(TRACE, d) == pytest.approx(2 * (d - 1) / d**2, abs=1e-10)

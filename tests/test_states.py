@@ -299,6 +299,9 @@ class TestRandomSampling:
         assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
 
 
+OBSERVABLE_JSON = observable_to_json(computational_observable(2, 1, (3, 2)))
+
+
 class TestJsonWireFormat:
     def test_density_schema_and_roundtrip(self):
         rho = werner(0.3)
@@ -328,6 +331,38 @@ class TestJsonWireFormat:
     def test_entry_count_checked(self):
         with pytest.raises(DimensionMismatch):
             density_from_json({"dims": [2], "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize(
+        "obj, error, field",
+        [
+            ({"dims": [1], "entries": [[1]]}, DimensionMismatch, "'entries'"),
+            ({"dims": [1], "entries": [["a", 0]]}, OutOfRange, "'entries'"),
+            ({"entries": [[1, 0]]}, DimensionMismatch, "'dims'"),
+            ({"dims": [1], "entries": None}, DimensionMismatch, "'entries'"),
+            ({"dims": ["x"], "entries": [[1, 0]]}, DimensionMismatch, "'dims'"),
+        ],
+        ids=["short_entry", "string_entry", "no_dims", "null_entries", "string_dims"],
+    )
+    def test_malformed_density_json_names_the_field(self, obj, error, field):
+        with pytest.raises(error, match=field):
+            density_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, error, field",
+        [
+            (
+                {k: v for k, v in OBSERVABLE_JSON.items() if k != "projectors"},
+                DimensionMismatch,
+                "'projectors'",
+            ),
+            ({**OBSERVABLE_JSON, "subsystem": 5}, DimensionMismatch, "'subsystem'"),
+            ({**OBSERVABLE_JSON, "eigenvalues": ["a", "b"]}, OutOfRange, "'eigenvalues'"),
+        ],
+        ids=["no_projectors", "subsystem_out_of_range", "string_eigenvalues"],
+    )
+    def test_malformed_observable_json_names_the_field(self, obj, error, field):
+        with pytest.raises(error, match=field):
+            observable_from_json(obj)
 
     def test_observable_roundtrip(self):
         obs = random_observable(3, seed=17, subsystem=1, dims=(2, 3))
