@@ -63,7 +63,6 @@ from .metrics import (
     von_neumann_entropy,
 )
 from .realism import (
-    ConditionalInfoResult,
     RealismReport,
     conditional_information_entropic,
     conditional_information_geometric,

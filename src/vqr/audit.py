@@ -15,13 +15,15 @@ the cell as a known deviation from the nominal table.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import metrics
 from .channels import has_reality, measure_nonselective, monitor
 from .errors import OutOfRange
 from .metrics import expected_distance_properties
-from .realism import TOL_VQR, delta_conditional_information, realism_max
+from .realism import TOL_VQR, _deltas, realism_max
 from .states import (
     DensityMatrix,
     random_density,
@@ -83,8 +85,18 @@ _SUM_TOL = 1e-9
 # --------------------------------------------------------------------------
 # Per-axiom counterexample searches.  Each yields the axiom's cases in
 # order as (seed, test): the seed reported with a witness (-1 for a
-# structured probe) and a test that maps a kind to its witness or None.
+# structured probe) and a test that maps kinds to a witness or None each.
 # --------------------------------------------------------------------------
+
+
+def _case(witness, *pairs):
+    """The test of a case: the gains of each (state, observable) pair are
+    computed once for all kinds, and witness(kind, *gains) judges each."""
+    def test(kinds):
+        gains = [_deltas(rho, a, kinds) for rho, a in pairs]
+        return [witness(kind, *kind_gains) for kind, *kind_gains in zip(kinds, *gains)]
+
+    return test
 
 
 def _bipartite_instance(seed, i):
@@ -100,10 +112,7 @@ def _monitoring_chain(rho, a, label, probe_seed):
     monitored = monitor(rho, a, eps)
     measured = measure_nonselective(rho, a)
 
-    def test(kind):
-        d_rho = delta_conditional_information(rho, a, kind)
-        d_mon = delta_conditional_information(monitored, a, kind)
-        d_phi = delta_conditional_information(measured, a, kind)
+    def witness(kind, d_rho, d_mon, d_phi):
         if d_rho > realism_max(kind, a.outcomes) + _CHAIN_TOL:
             return f"{label}: realism negative (delta {d_rho:.6g} > r_max)"
         if d_mon > d_rho + _CHAIN_TOL or d_phi > d_mon + _CHAIN_TOL:
@@ -117,7 +126,7 @@ def _monitoring_chain(rho, a, label, probe_seed):
             )
         return None
 
-    return test
+    return _case(witness, (rho, a), (monitored, a), (measured, a))
 
 
 def _axiom1_cases(seed, trials):
@@ -134,14 +143,12 @@ def _bystander(label, small, big, two_sided=False):
     """Witness `label` when discarding the bystander, from the (state,
     observable) pair `big` to `small`, raises the gain or, two-sided,
     changes it at all."""
-    def test(kind):
-        d_small = delta_conditional_information(*small, kind)
-        d_big = delta_conditional_information(*big, kind)
+    def witness(kind, d_small, d_big):
         if two_sided:
             return label if abs(d_big - d_small) > _EQUALITY_TOL else None
         return label if d_small > d_big + _CHAIN_TOL else None
 
-    return test
+    return _case(witness, small, big)
 
 
 def _axiom2a_cases(seed, trials):
@@ -158,7 +165,7 @@ def _axiom2a_cases(seed, trials):
     for i in range(trials):
         s = seed + i
         dims = dimsets[i % 3]
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         rho = random_density(d, d - (i % 2), s, dims=dims)
         a = random_observable(dims[0], s + 50021, subsystem=0, dims=dims)
         label = f"random tripartite state, dims {dims} (trial {i})"
@@ -178,13 +185,9 @@ def _axiom2b_cases(seed, trials):
 
 
 def _forbidden_saturation(label, rho, x, y):
-    def test(kind):
+    def witness(kind, d_x, d_y):
         r_max = realism_max(kind, 2)
-        total = (
-            2 * r_max
-            - delta_conditional_information(rho, x, kind)
-            - delta_conditional_information(rho, y, kind)
-        )
+        total = 2 * r_max - d_x - d_y
         if total > 2 * r_max + _SUM_TOL:
             return f"{label}: sum exceeds twice the maximum"
         if abs(total - 2 * r_max) > _SUM_TOL:
@@ -198,7 +201,7 @@ def _forbidden_saturation(label, rho, x, y):
             return None
         return f"{label}: saturation with non-commuting observables on a correlated state"
 
-    return test
+    return _case(witness, (rho, x), (rho, y))
 
 
 def _axiom3_cases(seed, trials):
@@ -221,12 +224,11 @@ def _mixing(label, probs, parts, a):
     gain of its parts."""
     mixture = DensityMatrix(sum(p * r.matrix for p, r in zip(probs, parts)), (2, 2))
 
-    def test(kind):
-        lhs = delta_conditional_information(mixture, a, kind)
-        rhs = sum(p * delta_conditional_information(r, a, kind) for p, r in zip(probs, parts))
+    def witness(kind, lhs, *part_gains):
+        rhs = sum(p * d for p, d in zip(probs, part_gains))
         return label if lhs > rhs + _SUM_TOL else None
 
-    return test
+    return _case(witness, (mixture, a), *((r, a) for r in parts))
 
 
 def _axiom4_cases(seed, trials):
@@ -251,17 +253,16 @@ _AXIOM_CASES = {
 
 def _first_witnesses(axiom: str, tokens, trials: int, seed: int) -> list[tuple]:
     """Search one axiom for every kind at once: each case is drawn once and
-    tested on each kind still without a witness, so every kind gets the
+    tested on the kinds still without a witness, so every kind gets the
     (witness, witness_seed) of its own first failing case, or (None, None)."""
     kinds = [metrics.parse_kind(token) for token in tokens]
     found = [(None, None)] * len(kinds)
     cell_seed = seed + 1_000_000 * (AXIOMS.index(axiom) + 1)
     for case_seed, test in _AXIOM_CASES[axiom](cell_seed, trials):
-        for k, kind in enumerate(kinds):
-            if found[k][0] is None:
-                witness = test(kind)
-                if witness:
-                    found[k] = (witness, case_seed)
+        open_ = [k for k, (witness, _) in enumerate(found) if witness is None]
+        for k, witness in zip(open_, test([kinds[k] for k in open_])):
+            if witness:
+                found[k] = (witness, case_seed)
         if all(witness for witness, _ in found):
             break
     return found

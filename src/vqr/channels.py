@@ -22,7 +22,7 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
     """Non-selective projective measurement sum_a P_a m P_a on a raw matrix.
 
     The matrix must live in the observable's ambient space; it need not be
-    a normalized state.
+    a normalized state, but a non-finite entry raises OutOfRange.
 
     Two paths give the same bits on finite matrices:
     - when every projector is an exact 0/1 diagonal (computational and
@@ -38,6 +38,8 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix dim {m.shape[0]} does not match observable ambient dim {n}"
         )
+    if not np.isfinite(m).all():
+        raise OutOfRange("matrix to measure has a non-finite entry")
     mask = a._pinching_mask
     if mask is not None:
         # + 0.0 turns a kept -0.0 into +0.0, as the dense sum does

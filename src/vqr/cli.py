@@ -98,16 +98,11 @@ def _run_sweep(args, seed: int) -> int:
         grid=experiment.grid(args),
         kinds=tuple(t for t in args.kinds.split(",") if t),
         seed=seed,
-        output_path=args.out,
         format="json" if args.out and args.out.endswith(".json") else "csv",
     )
-    rows = experiment.run(spec)
-    text = sweeps.write_table(rows, experiment.fields, spec)
-    if not spec.output_path:
-        sys.stdout.write(text)
-    if args.gnuplot and spec.output_path and spec.format == "csv":
-        script = sweeps.gnuplot_script(spec, spec.output_path)
-        _emit(script, spec.output_path + ".gp")
+    _emit(sweeps.write_table(experiment.run(spec), experiment.fields, spec), args.out)
+    if args.gnuplot and args.out and spec.format == "csv":
+        _emit(sweeps.gnuplot_script(spec, args.out), args.out + ".gp")
     return 0
 
 
@@ -125,10 +120,7 @@ def main(argv=None) -> int:
             result = run_verify(args.trials, seed)
             _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
             return 0 if result["pass"] else 2
-    except VqrError as exc:
-        print(f"vqr: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VqrError, OSError) as exc:
         print(f"vqr: {exc}", file=sys.stderr)
         return 1
     return 1

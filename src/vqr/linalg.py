@@ -50,10 +50,10 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(arr - arr.conj().T).max())
 
 
-def require_hermitian(m, tol: float = TAU_HERM) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})", defect)
+    if defect > TAU_HERM:
+        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > {TAU_HERM:.1e})", defect)
     arr = as_square(m)
     return (arr + arr.conj().T) / 2
 
@@ -74,7 +74,7 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def hermitian_eig(m, tol: float = TAU_HERM) -> EigenDecomposition:
+def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns real eigenvalues in ascending order and orthonormal
@@ -83,7 +83,7 @@ def hermitian_eig(m, tol: float = TAU_HERM) -> EigenDecomposition:
     order, and every column phase is pinned, so the output is a
     deterministic function of the input.
     """
-    h = require_hermitian(m, tol)
+    h = require_hermitian(m)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -193,7 +193,7 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     """
     arr = as_square(m)
     dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims) or int(np.prod(dims)) != arr.shape[0]:
+    if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not factor a {arr.shape[0]}-dim matrix"
         )
@@ -212,5 +212,5 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     col = [i + n if i in keep_set else i for i in range(n)]
     out = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(t, row + col, out)
-    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_keep = math.prod(dims[i] for i in keep)
     return reduced.reshape(d_keep, d_keep)

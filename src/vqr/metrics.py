@@ -192,6 +192,22 @@ def hs_distance(rho, sigma) -> float:
     return lp_distance(rho, sigma, 2.0)
 
 
+def _root_product(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sqrt(sigma) sqrt(rho), which the fidelity, Bures and Hellinger read."""
+    return linalg.sqrtm_psd(s) @ linalg.sqrtm_psd(r)
+
+
+def _fidelity(root: np.ndarray) -> float:
+    return float(np.linalg.svd(root, compute_uv=False).sum() ** 2)
+
+
+def _root_distance_sq(family: str, root: np.ndarray) -> float:
+    """The squared Bures ("bu") or Hellinger ("he") distance from the root."""
+    if family == "bu":
+        return max(0.0, 2.0 - 2.0 * float(np.sqrt(_fidelity(root))))
+    return max(0.0, 2.0 - 2.0 * float(np.real(np.trace(root))))
+
+
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ||sqrt(sigma) sqrt(rho)||_1^2
     = [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.
@@ -199,23 +215,17 @@ def fidelity(rho, sigma) -> float:
     For pure states this reduces to |<psi|phi>|^2.  Sub-normalized inputs
     are accepted; for normalized states F is in [0, 1].
     """
-    r, s = _pair(rho, sigma)
-    sr = linalg.sqrtm_psd(r)
-    ss = linalg.sqrtm_psd(s)
-    sv = np.linalg.svd(ss @ sr, compute_uv=False)
-    return float(sv.sum() ** 2)
+    return _fidelity(_root_product(*_pair(rho, sigma)))
 
 
 def bures_distance_sq(rho, sigma) -> float:
     """Squared Bures distance 2 - 2 sqrt(F)."""
-    return max(0.0, 2.0 - 2.0 * float(np.sqrt(fidelity(rho, sigma))))
+    return _root_distance_sq("bu", _root_product(*_pair(rho, sigma)))
 
 
 def hellinger_distance_sq(rho, sigma) -> float:
     """Squared quantum Hellinger distance 2 - 2 Tr(sqrt(sigma) sqrt(rho))."""
-    r, s = _pair(rho, sigma)
-    overlap = float(np.real(np.trace(linalg.sqrtm_psd(s) @ linalg.sqrtm_psd(r))))
-    return max(0.0, 2.0 - 2.0 * overlap)
+    return _root_distance_sq("he", _root_product(*_pair(rho, sigma)))
 
 
 def distance(kind: DistanceKind, rho, sigma) -> float:
@@ -229,26 +239,25 @@ def _exponent(kind: DistanceKind) -> float:
     return kind.power / 2.0 if kind.family in ("bu", "he") else kind.power
 
 
-def _native_distance(kind: DistanceKind, rho, sigma) -> float:
-    if kind.family == "bu":
-        return bures_distance_sq(rho, sigma)
-    if kind.family == "he":
-        return hellinger_distance_sq(rho, sigma)
-    return lp_distance(rho, sigma, kind.schatten_p)
-
-
 def powered_distance(kind: DistanceKind, rho, sigma) -> float:
     """d_kind ** kind.power, computed without a lossy sqrt round-trip."""
-    return _native_distance(kind, rho, sigma) ** _exponent(kind)
+    return _powered_distances([kind], rho, sigma)[0]
 
 
 def _powered_distances(kinds, rho, sigma) -> list[float]:
-    """powered_distance of each kind, with each native distance computed
-    once and raised to each kind's exponent (the same bits)."""
+    """powered_distance of each kind: each native distance is computed once,
+    Bures and Hellinger from one root product, and raised to each exponent."""
+    r, s = _pair(rho, sigma)
+    root = _root_product(r, s) if any(k.family in ("bu", "he") for k in kinds) else None
     natives = {}
     for kind in kinds:
-        if (kind.family, kind.p) not in natives:
-            natives[kind.family, kind.p] = _native_distance(kind, rho, sigma)
+        key = kind.family, kind.p
+        if key in natives:
+            continue
+        if kind.family in ("bu", "he"):
+            natives[key] = _root_distance_sq(kind.family, root)
+        else:
+            natives[key] = lp_distance(r, s, kind.schatten_p)
     return [natives[k.family, k.p] ** _exponent(k) for k in kinds]
 
 
@@ -451,8 +460,6 @@ _PROPERTY_CHECKS = {
     "joint_convexity": (_joint_convexity, 1e-10),
     "contractivity": (_contractivity, 1e-10),
 }
-
-PROPERTY_NAMES = tuple(_PROPERTY_CHECKS)
 
 
 def _property_reports(kinds, trials: int, seed: int) -> list[list[PropertyReport]]:

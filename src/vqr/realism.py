@@ -9,6 +9,7 @@ dilation and R_max is attained at a maximally entangled system state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,13 +22,6 @@ from .states import DensityMatrix, Observable, computational_observable, max_ent
 
 # Measured information gains above this count as a detected violation.
 TOL_VQR = 1e-9
-
-
-@dataclass(frozen=True)
-class ConditionalInfoResult:
-    value: float
-    kind: Kind
-    method: str  # "full_space" or "closed_form"
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,7 @@ class RealismReport:
 
 def irrealism(rho: DensityMatrix, a: Observable) -> float:
     """S(Phi_A(rho)) - S(rho): the entropy produced by measuring A."""
-    measured = channels.measure_nonselective(rho, a)
-    return metrics.von_neumann_entropy(measured) - metrics.von_neumann_entropy(rho)
+    return delta_conditional_information(rho, a, VON_NEUMANN)
 
 
 def _mutual_information(rho: DensityMatrix, part: int) -> float:
@@ -107,14 +100,26 @@ def irrealism_decomposition(rho: DensityMatrix, a: Observable) -> tuple[float, f
 # --------------------------------------------------------------------------
 
 
-def _split_dims(omega: DensityMatrix, split: int) -> tuple[int, int]:
+def _conditional_informations(omega: DensityMatrix, split: int, kinds) -> list[float]:
+    """The conditional information of Omega for each kind: the divergence
+    (von Neumann) or the powered distance between Omega and
+    Omega_S (x) 1/d_E, with that reference formed once for all kinds."""
     if not 1 <= split < len(omega.dims):
         raise DimensionMismatch(
             f"split {split} invalid for {len(omega.dims)} subsystems"
         )
-    d_s = int(np.prod(omega.dims[:split]))
-    d_e = int(np.prod(omega.dims[split:]))
-    return d_s, d_e
+    d_e = math.prod(omega.dims[split:])
+    omega_s = omega.reduced(range(split)).matrix
+    geometric = [kind for kind in kinds if not _entropic(kind)]
+    reference = np.kron(omega_s, np.eye(d_e, dtype=complex) / d_e)
+    values = dict(zip(geometric, metrics._powered_distances(geometric, omega.matrix, reference)))
+    if VON_NEUMANN in kinds:
+        values[VON_NEUMANN] = (
+            float(np.log(d_e))
+            - metrics.von_neumann_entropy(omega)
+            + metrics.von_neumann_entropy(omega_s)
+        )
+    return [values[kind] for kind in kinds]
 
 
 def conditional_information_entropic(omega: DensityMatrix, split: int) -> float:
@@ -124,24 +129,14 @@ def conditional_information_entropic(omega: DensityMatrix, split: int) -> float:
     Subsystems before `split` form S; the rest form E.  The value lies in
     [0, ln(d_E d_S)].
     """
-    d_s, d_e = _split_dims(omega, split)
-    omega_s = omega.reduced(range(split))
-    return (
-        float(np.log(d_e))
-        - metrics.von_neumann_entropy(omega)
-        + metrics.von_neumann_entropy(omega_s)
-    )
+    return _conditional_informations(omega, split, [VON_NEUMANN])[0]
 
 
 def conditional_information_geometric(
     omega: DensityMatrix, split: int, kind: DistanceKind
-) -> ConditionalInfoResult:
+) -> float:
     """Geometric conditional information d^n(Omega, Omega_S (x) 1/d_E)."""
-    d_s, d_e = _split_dims(omega, split)
-    omega_s = omega.reduced(range(split)).matrix
-    reference = np.kron(omega_s, np.eye(d_e, dtype=complex) / d_e)
-    value = metrics.powered_distance(kind, omega.matrix, reference)
-    return ConditionalInfoResult(value, kind, "full_space")
+    return _conditional_informations(omega, split, [kind])[0]
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +167,31 @@ def _entropic(kind: Kind) -> bool:
     return kind == VON_NEUMANN
 
 
+def _deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
+    """delta_conditional_information of each kind, from one Phi(rho) and at
+    most one root product sqrt(Phi(rho)) sqrt(rho), which Bures and
+    Hellinger share."""
+    channels._require_same_space(rho, a)
+    d_e = a.outcomes
+    phi_mat = channels.phi_map(rho.matrix, a)
+    root = None
+    deltas = []
+    for kind in kinds:
+        if _entropic(kind):
+            deltas.append(metrics.von_neumann_entropy(phi_mat) - metrics.von_neumann_entropy(rho))
+        elif kind.family == "tr":
+            deltas.append(metrics.trace_distance(rho.matrix, phi_mat / d_e) - (d_e - 1) / d_e)
+        elif kind.family == "hs":
+            deltas.append(metrics.hs_distance(rho.matrix, phi_mat) ** 2 / d_e)
+        elif kind.family in ("bu", "he"):
+            if root is None:
+                root = metrics._root_product(rho.matrix, phi_mat)
+            deltas.append(metrics._root_distance_sq(kind.family, root) / np.sqrt(d_e))
+        else:
+            deltas.append(_delta_lp_closed_form(rho.matrix, phi_mat, kind.p, d_e))
+    return deltas
+
+
 def delta_conditional_information(
     rho: DensityMatrix, a: Observable, kind: Kind
 ) -> float:
@@ -183,20 +203,15 @@ def delta_conditional_information(
     Hellinger (1/sqrt(d_E)) d_He^2(rho, Phi); general L_p the block
     formula; von Neumann the irrealism S(Phi(rho)) - S(rho).
     """
-    channels._require_same_space(rho, a)
-    if _entropic(kind):
-        return irrealism(rho, a)
-    d_e = a.outcomes
-    phi_mat = channels.phi_map(rho.matrix, a)
-    if kind.family == "tr":
-        return metrics.trace_distance(rho.matrix, phi_mat / d_e) - (d_e - 1) / d_e
-    if kind.family == "hs":
-        return metrics.hs_distance(rho.matrix, phi_mat) ** 2 / d_e
-    if kind.family == "bu":
-        return metrics.bures_distance_sq(rho.matrix, phi_mat) / np.sqrt(d_e)
-    if kind.family == "he":
-        return metrics.hellinger_distance_sq(rho.matrix, phi_mat) / np.sqrt(d_e)
-    return _delta_lp_closed_form(rho.matrix, phi_mat, kind.p, d_e)
+    return _deltas(rho, a, [kind])[0]
+
+
+def _dilated_deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
+    """delta_conditional_information_dilated of each kind, from one dilation."""
+    omega0, omega_t = channels.evolve(channels.build_dilation(rho, a))
+    after = _conditional_informations(omega_t, len(rho.dims), kinds)
+    before = _conditional_informations(omega0, len(rho.dims), kinds)
+    return [t - z for t, z in zip(after, before)]
 
 
 def delta_conditional_information_dilated(
@@ -208,16 +223,7 @@ def delta_conditional_information_dilated(
     Agrees with the closed form within numerical tolerance; exists as the
     independent route for verification.
     """
-    setup = channels.build_dilation(rho, a)
-    omega0, omega_t = channels.evolve(setup)
-    split = len(rho.dims)
-    if _entropic(kind):
-        return conditional_information_entropic(
-            omega_t, split
-        ) - conditional_information_entropic(omega0, split)
-    after = conditional_information_geometric(omega_t, split, kind)
-    before = conditional_information_geometric(omega0, split, kind)
-    return after.value - before.value
+    return _dilated_deltas(rho, a, [kind])[0]
 
 
 @lru_cache(maxsize=256)

@@ -54,7 +54,7 @@ class DensityMatrix:
     def __post_init__(self):
         arr = linalg.as_square(self.matrix)
         dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims) or int(np.prod(dims)) != arr.shape[0]:
+        if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
             raise DimensionMismatch(
                 f"dims {dims} do not factor a {arr.shape[0]}-dim matrix"
             )
@@ -169,8 +169,8 @@ class Observable:
     @cached_property
     def full_projectors(self) -> tuple[np.ndarray, ...]:
         """Projectors embedded into the ambient product space."""
-        d_left = int(np.prod(self.dims[: self.subsystem], initial=1))
-        d_right = int(np.prod(self.dims[self.subsystem + 1 :], initial=1))
+        d_left = math.prod(self.dims[: self.subsystem])
+        d_right = math.prod(self.dims[self.subsystem + 1 :])
         eye_l, eye_r = np.eye(d_left), np.eye(d_right)
         return tuple(
             _frozen(linalg.kron_all(eye_l, p, eye_r)) for p in self.projectors
@@ -306,7 +306,7 @@ def random_density(
 def random_pure(dims: Sequence[int], seed) -> DensityMatrix:
     """Haar-random pure state: a random unitary applied to |0...0>."""
     dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     psi = haar_unitary(n, seed)[:, 0]
     return DensityMatrix(np.outer(psi, psi.conj()), dims)
 
@@ -386,7 +386,7 @@ def density_from_json(obj: dict) -> DensityMatrix:
     """Read a state; malformed fields raise DimensionMismatch or OutOfRange
     naming the field, and the state's values go through validate_state."""
     dims = _json_dims(obj)
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     return validate_state(matrix_from_entries(_field(obj, "entries"), dim), dims)
 
 

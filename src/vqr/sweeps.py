@@ -44,7 +44,6 @@ class SweepSpec:
     grid: dict = field(default_factory=dict)
     kinds: tuple[str, ...] = ()
     seed: int = DEFAULT_SEED
-    output_path: str | None = None
     format: str = "csv"
 
     def spec_hash(self) -> str:
@@ -77,14 +76,10 @@ def rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:
 
 
 def write_table(rows: list[dict], fieldnames: list[str], spec: SweepSpec) -> str:
+    """The table's text in the spec's format; the caller writes it."""
     if spec.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        text = rows_to_csv(rows, fieldnames)
-    if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return rows_to_csv(rows, fieldnames)
 
 
 # --------------------------------------------------------------------------

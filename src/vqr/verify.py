@@ -23,7 +23,7 @@ from .channels import (
     phi_map,
 )
 from .errors import OutOfRange
-from .realism import delta_conditional_information, delta_conditional_information_dilated
+from .realism import _deltas, _dilated_deltas
 from .states import random_density, random_observable
 
 DEFAULT_TOL = 1e-9
@@ -75,11 +75,9 @@ def _pinching_group(s, i):
 def _closed_form_group(s, i):
     """Closed-form against full-dilation information gain for each kind."""
     rho, a = _instance(s, i, max_d_a=4)
-    for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3"):
-        kind = metrics.parse_kind(token)
-        closed = delta_conditional_information(rho, a, kind)
-        full = delta_conditional_information_dilated(rho, a, kind)
-        yield f"information_gain_closed_form_{token}", abs(closed - full)
+    kinds = [metrics.parse_kind(token) for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3")]
+    for kind, closed, full in zip(kinds, _deltas(rho, a, kinds), _dilated_deltas(rho, a, kinds)):
+        yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
 
 
 def _renyi_group(s, i):

@@ -21,6 +21,7 @@ from vqr.metrics import (
     powered_distance,
 )
 from vqr.states import (
+    DensityMatrix,
     Observable,
     computational_observable,
     max_entangled,
@@ -137,6 +138,31 @@ class TestPinchingMask:
             match=r"^matrix dim 4 does not match observable ambient dim 6$",
         ):
             phi_map(np.eye(4), BLOCK_ON_SECOND)
+
+
+class TestNonFiniteInput:
+    """Both phi_map paths, and the state channels built on it, reject a
+    non-finite entry instead of returning it or an all-NaN matrix."""
+
+    @staticmethod
+    def _with_inf():
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.inf
+        return m
+
+    @pytest.mark.parametrize(
+        "obs",
+        [computational_observable(2, 0, (2, 2)), random_observable(2, 5, 0, (2, 2))],
+        ids=["mask", "dense"],
+    )
+    def test_phi_map_rejects_non_finite_entry(self, obs):
+        with pytest.raises(OutOfRange, match="non-finite"):
+            phi_map(self._with_inf(), obs)
+
+    def test_measure_nonselective_rejects_non_finite_state(self):
+        rho = DensityMatrix(self._with_inf(), (2, 2))
+        with pytest.raises(OutOfRange, match="non-finite"):
+            measure_nonselective(rho, random_observable(2, 5, 0, (2, 2)))
 
 
 class TestMonitor:

@@ -190,15 +190,20 @@ class TestAudit:
     def test_each_kind_keeps_its_own_first_witness(self, monkeypatch):
         # A synthetic axiom whose cases fail for tr from case 0 and for hs
         # from case 2: the shared search keeps testing hs (and bu, which
-        # never fails) after tr's witness, and tests tr no more.
+        # never fails) after tr's witness, and tests tr no more.  Each case
+        # test takes the kinds still without a witness and returns one
+        # witness or None per kind.
         first_failure = {"tr": 0, "hs": 2}
         tested = []
 
         def cases(seed, trials):
             for i in range(trials):
-                def test(kind, i=i):
-                    tested.append((kind.token(), i))
-                    return f"case {i}" if i >= first_failure.get(kind.token(), trials) else None
+                def test(kinds, i=i):
+                    tested.extend((kind.token(), i) for kind in kinds)
+                    return [
+                        f"case {i}" if i >= first_failure.get(kind.token(), trials) else None
+                        for kind in kinds
+                    ]
 
                 yield seed + i, test
 
@@ -289,11 +294,23 @@ class TestCli:
     def test_out_file_and_gnuplot(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         code = main(["werner", "--eps-steps", "3", "--out", str(path), "--gnuplot"])
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""
         assert code == 0
         text = path.read_text()
         assert text.startswith("spec_hash,epsilon,kind")
-        assert (tmp_path / "sweep.csv.gp").exists()
+        assert (tmp_path / "sweep.csv.gp").read_text().startswith(
+            f"# gnuplot companion for {path}\n"
+        )
+
+    def test_json_out_file_has_no_gnuplot_script(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        code = main(["werner", "--eps-steps", "3", "--kinds", "tr", "--out", str(path),
+                     "--gnuplot"])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        rows = json.loads(path.read_text())
+        assert [row["epsilon"] for row in rows] == [0.0, 0.5, 1.0]
+        assert not (tmp_path / "sweep.json.gp").exists()
 
     def test_mu_custom_phi(self, tmp_path, capsys):
         path = tmp_path / "mu.csv"

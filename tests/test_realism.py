@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from vqr.channels import has_reality, measure_nonselective, monitor, phi_map
+from vqr.channels import (
+    build_dilation,
+    evolve,
+    has_reality,
+    measure_nonselective,
+    monitor,
+    phi_map,
+)
 from vqr.errors import DimensionMismatch, InvalidOrder
 from vqr.metrics import (
     BURES,
@@ -20,6 +27,9 @@ from vqr.metrics import (
     trace_distance,
 )
 from vqr.realism import (
+    _conditional_informations,
+    _deltas,
+    _dilated_deltas,
     conditional_information_entropic,
     conditional_information_geometric,
     delta_conditional_information,
@@ -182,9 +192,8 @@ class TestConditionalInformationGeometric:
         rho = random_density(3, 3, 9)
         omega = DensityMatrix(np.kron(rho.matrix, np.eye(3) / 3), (3, 3))
         for kind in GEOMETRIC_KINDS + [lp(1.5)]:
-            result = conditional_information_geometric(omega, 1, kind)
-            assert result.value == pytest.approx(0.0, abs=1e-10)
-            assert result.method == "full_space"
+            value = conditional_information_geometric(omega, 1, kind)
+            assert value == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("d_e", [2, 3, 4])
     def test_initial_state_closed_forms(self, d_e):
@@ -193,8 +202,8 @@ class TestConditionalInformationGeometric:
         pure = np.zeros((d_e, d_e), dtype=complex)
         pure[0, 0] = 1.0
         omega0 = DensityMatrix(np.kron(rho.matrix, pure), (3, d_e))
-        tr_value = conditional_information_geometric(omega0, 1, TRACE).value
-        bu_value = conditional_information_geometric(omega0, 1, BURES).value
+        tr_value = conditional_information_geometric(omega0, 1, TRACE)
+        bu_value = conditional_information_geometric(omega0, 1, BURES)
         assert tr_value == pytest.approx(2 * (d_e - 1) / d_e, abs=1e-10)
         assert bu_value == pytest.approx(2 - 2 / np.sqrt(d_e), abs=1e-10)
 
@@ -303,6 +312,56 @@ def test_observable_dims_must_match_state_dims(token):
     for call in (delta_conditional_information, delta_conditional_information_dilated, realism):
         with pytest.raises(DimensionMismatch, match="do not match state dims"):
             call(rho, obs, kind)
+
+
+MIXED_KIND_LISTS = {
+    "forward": ["tr", "hs", "bu", "he", "lp1.5", "lp3", "vn"],
+    "reverse": ["vn", "lp3", "lp1.5", "he", "bu", "hs", "tr"],
+    "repeated": ["he", "tr", "bu", "he", "lp3", "vn", "hs", "bu", "lp1.5", "tr"],
+}
+
+
+class TestKindListHelpers:
+    """Each instance's shared pass over a list of kinds gives, kind for kind,
+    the same bits as the one-kind functions."""
+
+    @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
+    def test_closed_form_list_equals_one_kind_calls(self, tokens):
+        kinds = [parse_kind(token) for token in tokens]
+        for i in range(6):
+            rho, obs = random_instance(9100 + i, i)
+            shared = _deltas(rho, obs, kinds)
+            assert shared == [delta_conditional_information(rho, obs, k) for k in kinds]
+
+    @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
+    def test_dilated_list_equals_one_kind_calls(self, tokens):
+        kinds = [parse_kind(token) for token in tokens]
+        for i in range(4):
+            rho, obs = random_instance(9200 + i, i)
+            shared = _dilated_deltas(rho, obs, kinds)
+            assert shared == [delta_conditional_information_dilated(rho, obs, k) for k in kinds]
+
+    def test_conditional_informations_equal_one_kind_calls(self):
+        kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["repeated"]]
+        for i in range(3):
+            rho, obs = random_instance(9300 + i, i)
+            for omega in evolve(build_dilation(rho, obs)):
+                expected = [
+                    conditional_information_entropic(omega, 2)
+                    if kind == VON_NEUMANN
+                    else conditional_information_geometric(omega, 2, kind)
+                    for kind in kinds
+                ]
+                assert _conditional_informations(omega, 2, kinds) == expected
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    def test_renyi_anywhere_in_the_list_raises(self, position):
+        rho, obs = random_instance(9400, 0)
+        kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
+        kinds.insert(position, renyi(0.5))
+        for helper in (_deltas, _dilated_deltas):
+            with pytest.raises(InvalidOrder, match="no realism recipe"):
+                helper(rho, obs, kinds)
 
 
 @pytest.mark.parametrize("kind", [renyi(0.5), sandwiched_renyi(2.0)], ids=lambda k: k.token())
