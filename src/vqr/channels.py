@@ -135,8 +135,7 @@ def build_dilation(
         raise DimensionMismatch("constructed dilation is not unitary")
 
     setup = DilationSetup(rho, a, d_e, _frozen(u), env_ground)
-    reduction = dilation_reduction_residual(setup)
-    invariance = dilation_invariance_residual(setup)
+    reduction, invariance = _dilation_residuals(setup)
     if reduction > DILATION_TOL or invariance > DILATION_TOL:
         raise DimensionMismatch(
             f"dilation contract violated: reduction {reduction:.3e}, "
@@ -165,20 +164,24 @@ def evolve(setup: DilationSetup) -> tuple[DensityMatrix, DensityMatrix]:
     return DensityMatrix(omega0, dims), DensityMatrix(omega_t, dims)
 
 
+def _dilation_residuals(setup: DilationSetup) -> tuple[float, float]:
+    """The reduction and invariance residuals, from one Phi_A(rho) and one
+    Omega_t."""
+    rho = setup.system_state
+    d_e = setup.environment_dim
+    phi = phi_map(rho.matrix, setup.observable)
+    dims = rho.dims + (d_e,)
+    reduced = linalg.partial_trace(_global_matrices(setup)[1], dims, range(len(rho.dims)))
+    fixed = np.kron(phi, np.eye(d_e, dtype=complex) / d_e)
+    moved = setup.unitary @ fixed @ setup.unitary.conj().T
+    return float(np.abs(reduced - phi).max()), float(np.abs(moved - fixed).max())
+
+
 def dilation_reduction_residual(setup: DilationSetup) -> float:
     """Max entrywise |Tr_E[U (rho (x) |e0><e0|) U^dag] - Phi_A(rho)|."""
-    rho = setup.system_state
-    dims = rho.dims + (setup.environment_dim,)
-    reduced = linalg.partial_trace(_global_matrices(setup)[1], dims, range(len(rho.dims)))
-    return float(np.abs(reduced - phi_map(rho.matrix, setup.observable)).max())
+    return _dilation_residuals(setup)[0]
 
 
 def dilation_invariance_residual(setup: DilationSetup) -> float:
     """Max entrywise |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|."""
-    rho = setup.system_state
-    d_e = setup.environment_dim
-    fixed = np.kron(
-        phi_map(rho.matrix, setup.observable), np.eye(d_e, dtype=complex) / d_e
-    )
-    moved = setup.unitary @ fixed @ setup.unitary.conj().T
-    return float(np.abs(moved - fixed).max())
+    return _dilation_residuals(setup)[1]

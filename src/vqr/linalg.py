@@ -64,14 +64,15 @@ class EigenDecomposition(NamedTuple):
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        pivot = v[idx, k]
-        if abs(pivot) > 0:
-            v[:, k] *= np.conj(pivot) / abs(pivot)
-    return v
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Each phase is the scalar conj(p)/|p| of the column's pivot p: dividing
+    the pivots as one array rounds some phases differently, and would
+    change the bits of every eigenvector downstream.
+    """
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    phases = [np.conj(p) / abs(p) if abs(p) > 0 else 1.0 for p in pivots]
+    return v * np.array(phases, dtype=v.dtype)
 
 
 def hermitian_eig(m) -> EigenDecomposition:

@@ -244,18 +244,28 @@ def realism_max(kind: Kind, d_e: int) -> float:
     return delta_conditional_information(rho, obs, kind)
 
 
+def _reports(rho: DensityMatrix, a: Observable, kinds) -> list[RealismReport]:
+    """realism of each kind, from one _deltas pass over the instance."""
+    deltas = _deltas(rho, a, kinds)
+    reports = []
+    for kind, delta in zip(kinds, deltas):
+        r_max = realism_max(kind, a.outcomes)
+        reports.append(
+            RealismReport(
+                kind=kind,
+                r_value=r_max - delta,
+                r_max=r_max,
+                delta_i=delta,
+                vqr_detected=bool(delta > TOL_VQR),
+            )
+        )
+    return reports
+
+
 def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
     """Realism report R = R_max - Delta I for the given kind.
 
     A violation of quantum realism is detected when the information gain
     exceeds TOL_VQR, i.e. when R falls short of R_max.
     """
-    r_max = realism_max(kind, a.outcomes)
-    delta = delta_conditional_information(rho, a, kind)
-    return RealismReport(
-        kind=kind,
-        r_value=r_max - delta,
-        r_max=r_max,
-        delta_i=delta,
-        vqr_detected=bool(delta > TOL_VQR),
-    )
+    return _reports(rho, a, [kind])[0]

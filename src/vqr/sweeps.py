@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalFailure, OutOfRange
 from .metrics import parse_kind
-from .realism import realism, realism_max
+from .realism import _reports, realism_max
 from .states import computational_observable, mu_state, spin_observable, werner
 
 DEFAULT_SEED = 20240
@@ -102,14 +102,12 @@ def run_werner_sweep(spec: SweepSpec) -> list[dict]:
     stamp = spec.spec_hash()
     rows = []
     for eps in np.linspace(0.0, 1.0, steps):
-        rho = werner(float(eps))
-        for kind in kinds:
-            report = realism(rho, obs, kind)
+        for report in _reports(werner(float(eps)), obs, kinds):
             rows.append(
                 {
                     "spec_hash": stamp,
                     "epsilon": float(eps),
-                    "kind": kind.token(),
+                    "kind": report.kind.token(),
                     "r_value": report.r_value,
                     "r_max": report.r_max,
                     "delta_i": report.delta_i,
@@ -140,21 +138,17 @@ def run_rmax_sweep(spec: SweepSpec) -> list[dict]:
 
 
 def _theta_invariance_check(mu: float, phi: float, kinds) -> None:
-    spreads = []
-    for kind in kinds:
-        values = [
-            realism(
-                mu_state(mu),
-                spin_observable(theta, phi, subsystem=0, dims=(2, 2)),
-                kind,
-            ).r_value
-            for theta in np.linspace(0.0, 2 * np.pi, THETA_INVARIANCE_POINTS, endpoint=False)
-        ]
-        spreads.append(max(values) - min(values))
-    if max(spreads) > THETA_INVARIANCE_TOL:
+    rho = mu_state(mu)
+    # values[t][k]: the realism of kind k at the t-th polar angle
+    values = []
+    for theta in np.linspace(0.0, 2 * np.pi, THETA_INVARIANCE_POINTS, endpoint=False):
+        obs = spin_observable(theta, phi, subsystem=0, dims=(2, 2))
+        values.append([report.r_value for report in _reports(rho, obs, kinds)])
+    spread = max(max(column) - min(column) for column in zip(*values))
+    if spread > THETA_INVARIANCE_TOL:
         raise NumericalFailure(
             f"polar-angle invariance violated at mu={mu}, phi={phi}: "
-            f"spread {max(spreads):.3e}"
+            f"spread {spread:.3e}"
         )
 
 
@@ -167,19 +161,18 @@ def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     phis = tuple(float(p) for p in spec.grid.get("phis", MU_PHIS))
     kinds = [parse_kind(t) for t in (spec.kinds or MU_KINDS)]
     stamp = spec.spec_hash()
+    observables = [(phi, spin_observable(0.0, phi, subsystem=0, dims=(2, 2))) for phi in phis]
     rows = []
     for mu in np.linspace(0.0, 1.0, steps):
         rho = mu_state(float(mu))
-        for phi in phis:
-            obs = spin_observable(0.0, phi, subsystem=0, dims=(2, 2))
-            for kind in kinds:
-                report = realism(rho, obs, kind)
+        for phi, obs in observables:
+            for report in _reports(rho, obs, kinds):
                 rows.append(
                     {
                         "spec_hash": stamp,
                         "mu": float(mu),
                         "phi": float(phi),
-                        "kind": kind.token(),
+                        "kind": report.kind.token(),
                         "r_value": report.r_value,
                     }
                 )

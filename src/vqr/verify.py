@@ -16,12 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, metrics
-from .channels import (
-    build_dilation,
-    dilation_invariance_residual,
-    dilation_reduction_residual,
-    phi_map,
-)
+from .channels import _dilation_residuals, build_dilation, phi_map
 from .errors import OutOfRange
 from .realism import _deltas, _dilated_deltas
 from .states import random_density, random_observable
@@ -111,9 +106,9 @@ def _limit_group(s, i):
 def _dilation_group(s, i):
     """The dilation's reduction and invariance contracts."""
     rho, a = _instance(s, i, max_d_a=4)
-    setup = build_dilation(rho, a)
-    yield "dilation_reduction", dilation_reduction_residual(setup)
-    yield "dilation_invariance", dilation_invariance_residual(setup)
+    reduction, invariance = _dilation_residuals(build_dilation(rho, a))
+    yield "dilation_reduction", reduction
+    yield "dilation_invariance", invariance
 
 
 # Each group draws trial i's instances once, at its own offset from the

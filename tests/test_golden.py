@@ -2,7 +2,9 @@
 
 The files under tests/golden/ are the stdout of `vqr werner`, `vqr mu` and
 `vqr rmax` with no options, of `vqr rmax --kinds tr,hs,bu,he,vn,lp1.5,lp3`
-(which adds the `vn` and `lp` rows), of `vqr audit --trials 20
+(which adds the `vn` and `lp` rows), of `vqr werner --kinds
+tr,hs,bu,he,vn,lp1.5,lp3` and `vqr mu --phi 0.3,1.1,2` (every kind, and more
+than one angle, evaluated from each sweep point), of `vqr audit --trials 20
 --property-trials 20` and of `vqr verify --trials 10`, recorded with numpy
 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).
 A few entries of mu.csv are at the 1e-16 rounding level, so they depend on
@@ -30,10 +32,12 @@ GOLDEN = Path(__file__).parent / "golden"
         (["mu"], 0, "mu.csv"),
         (["rmax"], 0, "rmax.csv"),
         (["rmax", "--kinds", "tr,hs,bu,he,vn,lp1.5,lp3"], 0, "rmax_kinds.csv"),
+        (["werner", "--kinds", "tr,hs,bu,he,vn,lp1.5,lp3"], 0, "werner_kinds.csv"),
+        (["mu", "--phi", "0.3,1.1,2"], 0, "mu_phis.csv"),
         (["audit", "--trials", "20", "--property-trials", "20"], 2, "audit.json"),
         (["verify", "--trials", "10"], 0, "verify.json"),
     ],
-    ids=["werner", "mu", "rmax", "rmax_kinds", "audit", "verify"],
+    ids=["werner", "mu", "rmax", "rmax_kinds", "werner_kinds", "mu_phis", "audit", "verify"],
 )
 def test_sweep_stdout_matches_golden(argv, code, name, capsys, monkeypatch):
     monkeypatch.delenv("VQR_SEED", raising=False)

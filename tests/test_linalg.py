@@ -73,6 +73,60 @@ class TestHermitianEig:
             linalg.hermitian_eig(np.zeros((2, 3)))
 
 
+def _fix_phases_loop(v):
+    """The column-by-column phase fixing that linalg._fix_phases replaced,
+    kept as the reference for its bits."""
+    v = v.copy()
+    for k in range(v.shape[1]):
+        idx = int(np.argmax(np.abs(v[:, k])))
+        pivot = v[idx, k]
+        if abs(pivot) > 0:
+            v[:, k] *= np.conj(pivot) / abs(pivot)
+    return v
+
+
+def _degenerate_hermitian(d, seed):
+    """A random unitary conjugate of a spectrum with a repeated eigenvalue."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d)
+    w[: 1 + d // 2] = w[0]
+    u = np.linalg.qr(random_hermitian(d, seed) + 1j * random_hermitian(d, seed + 1))[0]
+    m = (u * w) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestFixPhases:
+    """The vectorized phase fixing gives the loop's bits, column for column."""
+
+    @staticmethod
+    def assert_same_bits(v):
+        before = v.copy()
+        fixed = linalg._fix_phases(v)
+        assert np.array_equal(fixed.view(float), _fix_phases_loop(v).view(float))
+        assert np.array_equal(v.view(float), before.view(float))
+
+    def test_random_spectra(self):
+        for i in range(1100):
+            d = 2 + i % 11
+            self.assert_same_bits(np.linalg.eigh(random_hermitian(d, seed=5000 + i))[1])
+
+    def test_degenerate_spectra(self):
+        for i in range(330):
+            d = 2 + i % 11
+            m = _degenerate_hermitian(d, seed=7000 + 2 * i)
+            self.assert_same_bits(np.linalg.eigh(m)[1])
+            self.assert_same_bits(linalg.hermitian_eig(m).eigenvectors)
+
+    def test_exactly_degenerate_and_diagonal(self):
+        for m in (np.eye(4, dtype=complex), np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex)):
+            self.assert_same_bits(np.linalg.eigh(m)[1])
+
+    def test_pivot_is_real_positive(self):
+        v = linalg._fix_phases(np.linalg.eigh(random_hermitian(6, seed=11))[1])
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(6)]
+        assert np.all(np.abs(pivots.imag) < 1e-15) and np.all(pivots.real > 0)
+
+
 class TestMatrixFunction:
     def test_identity_function(self):
         m = np.diag([1.0, 4.0]).astype(complex)

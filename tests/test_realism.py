@@ -29,6 +29,7 @@ from vqr.metrics import (
 from vqr.realism import (
     _conditional_informations,
     _deltas,
+    _reports,
     _dilated_deltas,
     conditional_information_entropic,
     conditional_information_geometric,
@@ -341,6 +342,18 @@ class TestKindListHelpers:
             shared = _dilated_deltas(rho, obs, kinds)
             assert shared == [delta_conditional_information_dilated(rho, obs, k) for k in kinds]
 
+    @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
+    def test_report_list_equals_one_kind_calls(self, tokens):
+        kinds = [parse_kind(token) for token in tokens]
+        fields = ("kind", "r_value", "r_max", "delta_i", "vqr_detected")
+        for i in range(6):
+            rho, obs = random_instance(9500 + i, i)
+            shared = _reports(rho, obs, kinds)
+            expected = [realism(rho, obs, k) for k in kinds]
+            assert len(shared) == len(expected)
+            for got, want in zip(shared, expected):
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
     def test_conditional_informations_equal_one_kind_calls(self):
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["repeated"]]
         for i in range(3):
@@ -359,7 +372,7 @@ class TestKindListHelpers:
         rho, obs = random_instance(9400, 0)
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
         kinds.insert(position, renyi(0.5))
-        for helper in (_deltas, _dilated_deltas):
+        for helper in (_deltas, _dilated_deltas, _reports):
             with pytest.raises(InvalidOrder, match="no realism recipe"):
                 helper(rho, obs, kinds)
 
