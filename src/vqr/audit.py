@@ -90,10 +90,11 @@ _SUM_TOL = 1e-9
 
 
 def _case(witness, *pairs):
-    """The test of a case: the gains of each (state, observable) pair are
-    computed once for all kinds, and witness(kind, *gains) judges each."""
+    """The test of a case: the gains of all its (state, observable) pairs
+    are computed in one pass for all kinds, and witness(kind, *gains)
+    judges each."""
     def test(kinds):
-        gains = [_deltas(rho, a, kinds) for rho, a in pairs]
+        gains = _deltas(pairs, kinds)
         return [witness(kind, *kind_gains) for kind, *kind_gains in zip(kinds, *gains)]
 
     return test

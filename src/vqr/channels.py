@@ -135,7 +135,7 @@ def build_dilation(
         raise DimensionMismatch("constructed dilation is not unitary")
 
     setup = DilationSetup(rho, a, d_e, _frozen(u), env_ground)
-    reduction, invariance = _dilation_residuals(setup)
+    reduction, invariance = dilation_residuals(setup)
     if reduction > DILATION_TOL or invariance > DILATION_TOL:
         raise DimensionMismatch(
             f"dilation contract violated: reduction {reduction:.3e}, "
@@ -164,9 +164,11 @@ def evolve(setup: DilationSetup) -> tuple[DensityMatrix, DensityMatrix]:
     return DensityMatrix(omega0, dims), DensityMatrix(omega_t, dims)
 
 
-def _dilation_residuals(setup: DilationSetup) -> tuple[float, float]:
-    """The reduction and invariance residuals, from one Phi_A(rho) and one
-    Omega_t."""
+def dilation_residuals(setup: DilationSetup) -> tuple[float, float]:
+    """The dilation's two contract residuals, from one Phi_A(rho) and one
+    Omega_t: reduction, max entrywise
+    |Tr_E[U (rho (x) |e0><e0|) U^dag] - Phi_A(rho)|, and invariance, max
+    entrywise |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|."""
     rho = setup.system_state
     d_e = setup.environment_dim
     phi = phi_map(rho.matrix, setup.observable)
@@ -175,13 +177,3 @@ def _dilation_residuals(setup: DilationSetup) -> tuple[float, float]:
     fixed = np.kron(phi, np.eye(d_e, dtype=complex) / d_e)
     moved = setup.unitary @ fixed @ setup.unitary.conj().T
     return float(np.abs(reduced - phi).max()), float(np.abs(moved - fixed).max())
-
-
-def dilation_reduction_residual(setup: DilationSetup) -> float:
-    """Max entrywise |Tr_E[U (rho (x) |e0><e0|) U^dag] - Phi_A(rho)|."""
-    return _dilation_residuals(setup)[0]
-
-
-def dilation_invariance_residual(setup: DilationSetup) -> float:
-    """Max entrywise |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|."""
-    return _dilation_residuals(setup)[1]

@@ -42,20 +42,49 @@ def as_square(m) -> np.ndarray:
     return arr
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce to a complex ndarray of square matrices, one (d, d) or a stack
+    (..., d, d), without reshaping."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _defect(arr: np.ndarray, adjoint: np.ndarray) -> float:
+    return float(np.abs(arr - adjoint).max()) if arr.size else 0.0
+
+
 def hermiticity_defect(m) -> float:
-    """Max entrywise deviation of m from its adjoint."""
-    arr = as_square(m)
-    if arr.size == 0:
-        return 0.0
-    return float(np.abs(arr - arr.conj().T).max())
+    """Max entrywise deviation of m from its adjoint, over a whole stack."""
+    arr = as_stack(m)
+    return _defect(arr, _adjoint(arr))
 
 
 def require_hermitian(m) -> np.ndarray:
-    defect = hermiticity_defect(m)
+    """The Hermitian part of m, or of each member of a stack; NotHermitian
+    when the largest defect in the stack is above TAU_HERM."""
+    arr = as_stack(m)
+    adjoint = _adjoint(arr)
+    defect = _defect(arr, adjoint)
     if defect > TAU_HERM:
         raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > {TAU_HERM:.1e})", defect)
-    arr = as_square(m)
-    return (arr + arr.conj().T) / 2
+    return (arr + adjoint) / 2
+
+
+def scalar_power(x, e: float) -> np.ndarray:
+    """x ** e value by value with Python's float pow, shaped like x.
+
+    The vectorized power (SIMD on some CPUs) rounds some values differently
+    from the scalar pow, so a stack would not give the bits of its members
+    computed one at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 class EigenDecomposition(NamedTuple):
@@ -64,25 +93,70 @@ class EigenDecomposition(NamedTuple):
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column so its largest-magnitude entry is real positive,
+    in every member of a stack.
 
-    Each phase is the scalar conj(p)/|p| of the column's pivot p: dividing
-    the pivots as one array rounds some phases differently, and would
-    change the bits of every eigenvector downstream.
+    Each phase is conj(p)/hypot(Re p, Im p) of the column's pivot p, which
+    has the bits of the scalar conj(p)/abs(p); np.abs of a complex array
+    rounds some magnitudes differently, and would change the bits of every
+    eigenvector downstream.  A zero pivot keeps phase 1.
     """
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    phases = [np.conj(p) / abs(p) if abs(p) > 0 else 1.0 for p in pivots]
-    return v * np.array(phases, dtype=v.dtype)
+    n = v.shape[-1]
+    flat = v.reshape(-1, n, n)
+    rows = np.argmax(np.abs(flat), axis=-2)
+    pivots = flat[np.arange(len(flat))[:, None], rows, np.arange(n)]
+    size = np.hypot(pivots.real, pivots.imag)
+    phases = np.divide(np.conj(pivots), size, out=np.ones_like(pivots), where=size > 0)
+    return v * phases.reshape(v.shape[:-2] + (1, n))
+
+
+def _fix_clusters(v: np.ndarray, joined: np.ndarray) -> np.ndarray:
+    """Re-orthonormalize every degenerate cluster by a QR pass in index
+    order, with the signs of R's diagonal pinned positive.
+
+    joined[..., k] says columns k and k + 1 share a cluster.  Every cluster
+    of one size, across the whole stack, goes into one stacked QR.
+    """
+    n = v.shape[-1]
+    flat = v.reshape(-1, n, n)
+    joined = joined.reshape(-1, n - 1)
+    # a run of joined gaps k..l is the cluster of columns k..l+1
+    first = joined.copy()
+    first[:, 1:] &= ~joined[:, :-1]
+    last = joined.copy()
+    last[:, :-1] &= ~joined[:, 1:]
+    members, starts = np.nonzero(first)
+    sizes = np.nonzero(last)[1] + 2 - starts
+    for size in set(sizes.tolist()):
+        pick = sizes == size
+        # the (K, n, size) column blocks of the K clusters of this size
+        blocks = (
+            members[pick, None, None],
+            np.arange(n)[:, None],
+            starts[pick, None, None] + np.arange(size),
+        )
+        q, r = np.linalg.qr(flat[blocks])
+        signs = np.sign(np.real(np.diagonal(r, axis1=-2, axis2=-1)))
+        signs[signs == 0] = 1.0
+        flat[blocks] = q * signs[:, None, :]
+    return flat.reshape(v.shape)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each member of a fresh (C-ordered) stack."""
+    return np.sqrt(np.square(x.view(float)).sum(axis=(-2, -1)))
 
 
 def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each member of a
+    stack (..., d, d).
 
     Returns real eigenvalues in ascending order and orthonormal
     eigenvectors as columns.  Within each degenerate cluster (consecutive
     gaps below DEGENERACY_GAP) the basis is re-fixed by a QR pass in index
     order, and every column phase is pinned, so the output is a
-    deterministic function of the input.
+    deterministic function of the input.  Each member gets the bits it
+    would get on its own.
     """
     h = require_hermitian(m)
     try:
@@ -90,29 +164,21 @@ def hermitian_eig(m) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
 
-    # Re-orthonormalize degenerate clusters deterministically.
-    n = len(w)
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or w[k] - w[k - 1] > DEGENERACY_GAP:
-            if k - start > 1:
-                q, r = np.linalg.qr(v[:, start:k])
-                signs = np.sign(np.real(np.diag(r)))
-                signs[signs == 0] = 1.0
-                v[:, start:k] = q * signs
-            start = k
+    joined = ~(w[..., 1:] - w[..., :-1] > DEGENERACY_GAP)
+    if joined.any():
+        v = _fix_clusters(v, joined)
     v = _fix_phases(v)
 
-    recon = (v * w) @ v.conj().T
-    norm = np.linalg.norm(h)
-    tol_eig = EIG_TOL_PER_DIM * n
-    if np.linalg.norm(recon - h) > tol_eig * max(1.0, norm):
+    recon = (v * w[..., None, :]) @ _adjoint(v)
+    tol_eig = EIG_TOL_PER_DIM * h.shape[-1]
+    if np.any(_frobenius(recon - h) > tol_eig * np.maximum(1.0, _frobenius(h))):
         raise NumericalFailure("eigendecomposition failed reconstruction check")
-    return EigenDecomposition(np.real(w), v)
+    return EigenDecomposition(w, v)
 
 
 def matrix_function(m, f: Callable, clip_psd: bool = False) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
+    """Apply a real scalar function to a Hermitian matrix, or to each member
+    of a stack, spectrally.
 
     Returns V diag(f(lambda)) V^dag.  With clip_psd=True, eigenvalues in
     [-TAU_PSD, 0) are clipped to zero first and anything more negative is a
@@ -130,20 +196,22 @@ def matrix_function(m, f: Callable, clip_psd: bool = False) -> np.ndarray:
         try:
             fw = np.asarray(f(w), dtype=float)
         except (TypeError, ValueError):
-            fw = np.array([float(f(x)) for x in w])
+            fw = np.array([float(f(x)) for x in w.ravel()]).reshape(w.shape)
     if fw.shape != w.shape or not np.all(np.isfinite(fw)):
         raise DomainError("function is not finite on the (clipped) spectrum")
-    return (v * fw) @ v.conj().T
+    return (v * fw[..., None, :]) @ _adjoint(v)
 
 
 def sqrtm_psd(m) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix (roundoff negatives clipped,
-    eigenvalues below SPECTRAL_FLOOR treated as exact zeros)."""
+    """Square root of a PSD Hermitian matrix, or of each member of a stack
+    (roundoff negatives clipped, eigenvalues below SPECTRAL_FLOOR treated as
+    exact zeros)."""
     return powm_psd(m, 0.5)
 
 
 def powm_psd(m, alpha: float) -> np.ndarray:
-    """PSD matrix power with the 0**alpha := 0 convention.
+    """PSD matrix power with the 0**alpha := 0 convention, on one matrix or
+    each member of a stack.
 
     Eigenvalues below SPECTRAL_FLOOR count as zeros.  For alpha < 0 this
     is the pseudo-power: the kernel (below TAU_PSD) stays zero and the
@@ -161,16 +229,15 @@ def powm_psd(m, alpha: float) -> np.ndarray:
     return matrix_function(m, f, clip_psd=True)
 
 
-def schatten_norm(m, p: float) -> float:
+def schatten_norm(m, p: float):
     """Schatten p-norm (Tr |X|^p)^(1/p) for finite p >= 1, via singular
-    values."""
+    values: a float for one matrix, an array of them for a stack."""
     if not 1 <= p < math.inf:
         raise InvalidOrder(f"Schatten order must be a finite p >= 1, got {p}")
-    arr = as_square(m)
+    arr = as_stack(m)
     s = np.linalg.svd(arr, compute_uv=False)
-    if p == 1:
-        return float(s.sum())
-    return float((s**p).sum() ** (1.0 / p))
+    norms = s.sum(axis=-1) if p == 1 else scalar_power((s**p).sum(axis=-1), 1.0 / p)
+    return float(norms) if arr.ndim == 2 else norms
 
 
 def kron(a, b) -> np.ndarray:

@@ -193,19 +193,24 @@ def hs_distance(rho, sigma) -> float:
 
 
 def _root_product(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sqrt(sigma) sqrt(rho), which the fidelity, Bures and Hellinger read."""
+    """sqrt(sigma) sqrt(rho), which the fidelity, Bures and Hellinger read;
+    of each pair when r and s are stacks."""
     return linalg.sqrtm_psd(s) @ linalg.sqrtm_psd(r)
 
 
-def _fidelity(root: np.ndarray) -> float:
-    return float(np.linalg.svd(root, compute_uv=False).sum() ** 2)
+def _fidelity(root: np.ndarray) -> np.ndarray:
+    """The fidelity ||root||_1^2 of each root in a stack (0-d for one)."""
+    return linalg.scalar_power(np.linalg.svd(root, compute_uv=False).sum(axis=-1), 2)
 
 
-def _root_distance_sq(family: str, root: np.ndarray) -> float:
-    """The squared Bures ("bu") or Hellinger ("he") distance from the root."""
+def _root_distance_sq(family: str, root: np.ndarray) -> np.ndarray:
+    """The squared Bures ("bu") or Hellinger ("he") distance from the root,
+    clipped at 0, of each root in a stack (0-d for one)."""
     if family == "bu":
-        return max(0.0, 2.0 - 2.0 * float(np.sqrt(_fidelity(root))))
-    return max(0.0, 2.0 - 2.0 * float(np.real(np.trace(root))))
+        value = 2.0 - 2.0 * np.sqrt(_fidelity(root))
+    else:
+        value = 2.0 - 2.0 * np.real(np.trace(root, axis1=-2, axis2=-1))
+    return np.where(value > 0.0, value, 0.0)
 
 
 def fidelity(rho, sigma) -> float:
@@ -215,17 +220,17 @@ def fidelity(rho, sigma) -> float:
     For pure states this reduces to |<psi|phi>|^2.  Sub-normalized inputs
     are accepted; for normalized states F is in [0, 1].
     """
-    return _fidelity(_root_product(*_pair(rho, sigma)))
+    return float(_fidelity(_root_product(*_pair(rho, sigma))))
 
 
 def bures_distance_sq(rho, sigma) -> float:
     """Squared Bures distance 2 - 2 sqrt(F)."""
-    return _root_distance_sq("bu", _root_product(*_pair(rho, sigma)))
+    return float(_root_distance_sq("bu", _root_product(*_pair(rho, sigma))))
 
 
 def hellinger_distance_sq(rho, sigma) -> float:
     """Squared quantum Hellinger distance 2 - 2 Tr(sqrt(sigma) sqrt(rho))."""
-    return _root_distance_sq("he", _root_product(*_pair(rho, sigma)))
+    return float(_root_distance_sq("he", _root_product(*_pair(rho, sigma))))
 
 
 def distance(kind: DistanceKind, rho, sigma) -> float:
@@ -241,13 +246,15 @@ def _exponent(kind: DistanceKind) -> float:
 
 def powered_distance(kind: DistanceKind, rho, sigma) -> float:
     """d_kind ** kind.power, computed without a lossy sqrt round-trip."""
-    return _powered_distances([kind], rho, sigma)[0]
+    return _powered_distances([kind], *_pair(rho, sigma))[0]
 
 
-def _powered_distances(kinds, rho, sigma) -> list[float]:
-    """powered_distance of each kind: each native distance is computed once,
-    Bures and Hellinger from one root product, and raised to each exponent."""
-    r, s = _pair(rho, sigma)
+def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
+    """powered_distance of each kind between the complex matrices r and s,
+    or between the members of two (N, d, d) stacks: a float per kind for one
+    pair, a list of N floats per kind for stacks.  Each native distance is
+    computed once, Bures and Hellinger from one root product, and raised to
+    each exponent."""
     root = _root_product(r, s) if any(k.family in ("bu", "he") for k in kinds) else None
     natives = {}
     for kind in kinds:
@@ -257,8 +264,16 @@ def _powered_distances(kinds, rho, sigma) -> list[float]:
         if kind.family in ("bu", "he"):
             natives[key] = _root_distance_sq(kind.family, root)
         else:
-            natives[key] = lp_distance(r, s, kind.schatten_p)
-    return [natives[k.family, k.p] ** _exponent(k) for k in kinds]
+            natives[key] = linalg.schatten_norm(s - r, kind.schatten_p)
+    return [linalg.scalar_power(natives[k.family, k.p], _exponent(k)).tolist() for k in kinds]
+
+
+def _stacked_distances(kinds, pairs) -> list[tuple]:
+    """_powered_distances of each (rho, sigma) pair, all of one dimension,
+    evaluated as one stack: per pair, a tuple of one value per kind."""
+    rhos = np.stack([r for r, _ in pairs]).astype(complex, copy=False)
+    sigmas = np.stack([s for _, s in pairs]).astype(complex, copy=False)
+    return list(zip(*_powered_distances(kinds, rhos, sigmas)))
 
 
 # --------------------------------------------------------------------------
@@ -275,11 +290,19 @@ def _clipped_eigvalsh(m) -> np.ndarray:
     return _clip_roundoff(np.linalg.eigvalsh(linalg.require_hermitian(m)))
 
 
+def _entropies(m: np.ndarray) -> np.ndarray:
+    """The von Neumann entropy of each member of a stack (0-d for one
+    matrix), from one stacked eigvalsh.  Each member's masked sum stays its
+    own: a masked reduction over the stack would sum in another order."""
+    w = _clipped_eigvalsh(m)
+    rows = w.reshape(-1, w.shape[-1])
+    values = [-(pos * np.log(pos)).sum() for pos in (row[row > 0.0] for row in rows)]
+    return np.array(values).reshape(w.shape[:-1])
+
+
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    w = _clipped_eigvalsh(_mat(rho))
-    pos = w[w > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(_entropies(_mat(rho)))
 
 
 def _sigma_spectrum(r: np.ndarray, s: np.ndarray, check_support: bool):
@@ -391,8 +414,10 @@ def _positive_definiteness(kinds, seed, i):
     # zero would amplify O(eps) roundoff to O(sqrt(eps)), so the
     # identity-of-indiscernibles check runs on the squared form.
     rho, sig = _random_pair(seed, 2 + (i % 3))
-    values = _powered_distances(kinds, rho, sig)
-    self_values = _powered_distances([k.with_power(2.0) for k in kinds], rho, rho)
+    squares = [k.with_power(2.0) for k in kinds]
+    pair_values, self_pair = _stacked_distances(list(kinds) + squares, [(rho, sig), (rho, rho)])
+    values = pair_values[: len(kinds)]
+    self_values = self_pair[len(kinds):]
     apart = trace_distance(rho, sig) > 1e-6
     bads = []
     for value, self_value in zip(values, self_values):
@@ -407,8 +432,9 @@ def _unitary_invariance(kinds, seed, i):
     d = 2 + (i % 3)
     rho, sig = _random_pair(seed, d)
     u = haar_unitary(d, seed + 13)
-    before = _powered_distances(kinds, rho, sig)
-    after = _powered_distances(kinds, u @ rho @ u.conj().T, u @ sig @ u.conj().T)
+    before, after = _stacked_distances(
+        kinds, [(rho, sig), (u @ rho @ u.conj().T, u @ sig @ u.conj().T)]
+    )
     yield [abs(a - b) for a, b in zip(after, before)]
 
 
@@ -422,13 +448,13 @@ def _joint_convexity(kinds, seed, i):
     rho2, sig2 = _random_pair(seed + 104729, d)
     weight = float(np.random.default_rng(seed + 3).uniform(0.1, 0.9))
     p0, p1 = (np.diag(np.eye(d, dtype=complex)[k]) for k in (0, 1))
-    for lam, (r1, s1), (r2, s2) in (
-        (weight, (rho1, sig1), (rho2, sig2)),
-        (0.5, (p0, p0), (p0, p1)),
-    ):
-        mixed = _powered_distances(kinds, lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2)
-        ones = _powered_distances(kinds, r1, s1)
-        twos = _powered_distances(kinds, r2, s2)
+    probes = ((weight, (rho1, sig1), (rho2, sig2)), (0.5, (p0, p0), (p0, p1)))
+    pairs = []
+    for lam, (r1, s1), (r2, s2) in probes:
+        pairs += [(lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2), (r1, s1), (r2, s2)]
+    values = _stacked_distances(kinds, pairs)
+    for n, (lam, _, _) in enumerate(probes):
+        mixed, ones, twos = values[3 * n : 3 * n + 3]
         yield [m - (lam * a + (1 - lam) * b) for m, a, b in zip(mixed, ones, twos)]
 
 
@@ -441,14 +467,19 @@ def _contractivity(kinds, seed, i):
     v = haar_unitary(2 * d, seed + 37)[:, :d]  # isometry C^d -> C^d (x) C^2
     obs = random_observable(d, seed + 101)
     eye2 = np.eye(2) / 2
-    for r, g, channel in (
-        (rho, sig, lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0)),
-        (rho, sig, lambda m: phi_map(m, obs)),
-        (np.kron(rho, eye2), np.kron(sig, eye2), lambda m: linalg.partial_trace(m, (d, 2), 0)),
-    ):
-        before = _powered_distances(kinds, r, g)
-        after = _powered_distances(kinds, channel(r), channel(g))
-        yield [a - b for a, b in zip(after, before)]
+    big = np.kron(rho, eye2), np.kron(sig, eye2)
+    maps = (
+        (lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0), (rho, sig)),
+        (lambda m: phi_map(m, obs), (rho, sig)),
+        (lambda m: linalg.partial_trace(m, (d, 2), 0), big),
+    )
+    # one stack per dimension: (rho, sig) and every output, then the kron pair
+    before, *afters = _stacked_distances(
+        kinds, [(rho, sig)] + [(channel(r), channel(g)) for channel, (r, g) in maps]
+    )
+    (big_before,) = _stacked_distances(kinds, [big])
+    for after, ahead in zip(afters, (before, before, big_before)):
+        yield [a - b for a, b in zip(after, ahead)]
 
 
 # Property -> (check, tolerance).  A report's example_seed is the trial of

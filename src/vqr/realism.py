@@ -144,16 +144,19 @@ def conditional_information_geometric(
 # --------------------------------------------------------------------------
 
 
-def _delta_lp_closed_form(rho_mat: np.ndarray, phi_mat: np.ndarray, p: float, d_e: int) -> float:
-    """Closed-form L_p information gain, as the difference of the two
-    block-diagonal conditional informations:
+def _delta_lp_closed_form(
+    rho_mat: np.ndarray, phi_mat: np.ndarray, p: float, d_e: int
+) -> np.ndarray:
+    """Closed-form L_p information gain of each (rho, Phi(rho)) pair of two
+    stacks, as the difference of the two block-diagonal conditional
+    informations:
 
         I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
         I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
     """
-    d_t = linalg.schatten_norm(rho_mat - phi_mat / d_e, p) ** p
-    norm_phi = linalg.schatten_norm(phi_mat, p) ** p
-    norm_rho = linalg.schatten_norm(rho_mat, p) ** p
+    d_t = linalg.scalar_power(linalg.schatten_norm(rho_mat - phi_mat / d_e, p), p)
+    norm_phi = linalg.scalar_power(linalg.schatten_norm(phi_mat, p), p)
+    norm_rho = linalg.scalar_power(linalg.schatten_norm(rho_mat, p), p)
     i_t = d_t + (d_e - 1) / d_e**p * norm_phi
     i_0 = norm_rho * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
     return i_t - i_0
@@ -167,28 +170,46 @@ def _entropic(kind: Kind) -> bool:
     return kind == VON_NEUMANN
 
 
-def _deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
-    """delta_conditional_information of each kind, from one Phi(rho) and at
-    most one root product sqrt(Phi(rho)) sqrt(rho), which Bures and
+def _stacked_deltas(rhos: np.ndarray, phis: np.ndarray, d_e: int, kinds) -> list[np.ndarray]:
+    """The gain of each kind for each (rho, Phi(rho)) pair of two (N, d, d)
+    stacks with d_E outcomes: one array of N values per kind, with at most
+    one stacked root product sqrt(Phi(rho)) sqrt(rho), which Bures and
     Hellinger share."""
-    channels._require_same_space(rho, a)
-    d_e = a.outcomes
-    phi_mat = channels.phi_map(rho.matrix, a)
     root = None
-    deltas = []
+    columns = []
     for kind in kinds:
         if _entropic(kind):
-            deltas.append(metrics.von_neumann_entropy(phi_mat) - metrics.von_neumann_entropy(rho))
+            columns.append(metrics._entropies(phis) - metrics._entropies(rhos))
         elif kind.family == "tr":
-            deltas.append(metrics.trace_distance(rho.matrix, phi_mat / d_e) - (d_e - 1) / d_e)
+            columns.append(linalg.schatten_norm(phis / d_e - rhos, 1.0) - (d_e - 1) / d_e)
         elif kind.family == "hs":
-            deltas.append(metrics.hs_distance(rho.matrix, phi_mat) ** 2 / d_e)
+            columns.append(linalg.scalar_power(linalg.schatten_norm(phis - rhos, 2.0), 2) / d_e)
         elif kind.family in ("bu", "he"):
             if root is None:
-                root = metrics._root_product(rho.matrix, phi_mat)
-            deltas.append(metrics._root_distance_sq(kind.family, root) / np.sqrt(d_e))
+                root = metrics._root_product(rhos, phis)
+            columns.append(metrics._root_distance_sq(kind.family, root) / np.sqrt(d_e))
         else:
-            deltas.append(_delta_lp_closed_form(rho.matrix, phi_mat, kind.p, d_e))
+            columns.append(_delta_lp_closed_form(rhos, phis, kind.p, d_e))
+    return columns
+
+
+def _deltas(pairs, kinds) -> list[list[float]]:
+    """delta_conditional_information of each kind for each (rho, A) pair:
+    one list per pair, in input order.  Pairs that share the matrix
+    dimension and the outcome count (a scalar in every formula) are
+    evaluated as one stack, from one Phi(rho) per pair; each pair gets the
+    bits it would get on its own."""
+    groups = {}
+    for i, (rho, a) in enumerate(pairs):
+        channels._require_same_space(rho, a)
+        groups.setdefault((rho.dim, a.outcomes), []).append(i)
+    deltas = [None] * len(pairs)
+    for (_, d_e), members in groups.items():
+        rhos = np.stack([pairs[i][0].matrix for i in members])
+        phis = np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members])
+        columns = [column.tolist() for column in _stacked_deltas(rhos, phis, d_e, kinds)]
+        for j, i in enumerate(members):
+            deltas[i] = [column[j] for column in columns]
     return deltas
 
 
@@ -203,7 +224,7 @@ def delta_conditional_information(
     Hellinger (1/sqrt(d_E)) d_He^2(rho, Phi); general L_p the block
     formula; von Neumann the irrealism S(Phi(rho)) - S(rho).
     """
-    return _deltas(rho, a, [kind])[0]
+    return _deltas([(rho, a)], [kind])[0][0]
 
 
 def _dilated_deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
@@ -244,21 +265,24 @@ def realism_max(kind: Kind, d_e: int) -> float:
     return delta_conditional_information(rho, obs, kind)
 
 
-def _reports(rho: DensityMatrix, a: Observable, kinds) -> list[RealismReport]:
-    """realism of each kind, from one _deltas pass over the instance."""
-    deltas = _deltas(rho, a, kinds)
+def _reports(pairs, kinds) -> list[list[RealismReport]]:
+    """realism of each kind for each (rho, A) pair, from one _deltas pass
+    over all the pairs: one list per pair, in input order."""
     reports = []
-    for kind, delta in zip(kinds, deltas):
-        r_max = realism_max(kind, a.outcomes)
-        reports.append(
-            RealismReport(
-                kind=kind,
-                r_value=r_max - delta,
-                r_max=r_max,
-                delta_i=delta,
-                vqr_detected=bool(delta > TOL_VQR),
+    for (_, a), deltas in zip(pairs, _deltas(pairs, kinds)):
+        row = []
+        for kind, delta in zip(kinds, deltas):
+            r_max = realism_max(kind, a.outcomes)
+            row.append(
+                RealismReport(
+                    kind=kind,
+                    r_value=r_max - delta,
+                    r_max=r_max,
+                    delta_i=delta,
+                    vqr_detected=bool(delta > TOL_VQR),
+                )
             )
-        )
+        reports.append(row)
     return reports
 
 
@@ -268,4 +292,4 @@ def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
     A violation of quantum realism is detected when the information gain
     exceeds TOL_VQR, i.e. when R falls short of R_max.
     """
-    return _reports(rho, a, [kind])[0]
+    return _reports([(rho, a)], [kind])[0][0]

@@ -100,9 +100,10 @@ def run_werner_sweep(spec: SweepSpec) -> list[dict]:
     kinds = [parse_kind(t) for t in (spec.kinds or WERNER_KINDS)]
     obs = computational_observable(2, 0, (2, 2))
     stamp = spec.spec_hash()
+    grid = np.linspace(0.0, 1.0, steps)
     rows = []
-    for eps in np.linspace(0.0, 1.0, steps):
-        for report in _reports(werner(float(eps)), obs, kinds):
+    for eps, reports in zip(grid, _reports([(werner(float(eps)), obs) for eps in grid], kinds)):
+        for report in reports:
             rows.append(
                 {
                     "spec_hash": stamp,
@@ -137,13 +138,18 @@ def run_rmax_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _theta_invariance_check(mu: float, phi: float, kinds) -> None:
+def _theta_invariance_pairs(mu: float, phi: float) -> list[tuple]:
+    """The (state, observable) pairs of the polar-invariance check."""
     rho = mu_state(mu)
-    # values[t][k]: the realism of kind k at the t-th polar angle
-    values = []
-    for theta in np.linspace(0.0, 2 * np.pi, THETA_INVARIANCE_POINTS, endpoint=False):
-        obs = spin_observable(theta, phi, subsystem=0, dims=(2, 2))
-        values.append([report.r_value for report in _reports(rho, obs, kinds)])
+    return [
+        (rho, spin_observable(theta, phi, subsystem=0, dims=(2, 2)))
+        for theta in np.linspace(0.0, 2 * np.pi, THETA_INVARIANCE_POINTS, endpoint=False)
+    ]
+
+
+def _theta_invariance_check(mu: float, phi: float, reports) -> None:
+    """reports[t][k]: the report of kind k at the t-th polar angle."""
+    values = [[report.r_value for report in row] for row in reports]
     spread = max(max(column) - min(column) for column in zip(*values))
     if spread > THETA_INVARIANCE_TOL:
         raise NumericalFailure(
@@ -162,22 +168,33 @@ def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     kinds = [parse_kind(t) for t in (spec.kinds or MU_KINDS)]
     stamp = spec.spec_hash()
     observables = [(phi, spin_observable(0.0, phi, subsystem=0, dims=(2, 2))) for phi in phis]
-    rows = []
+    # every grid point, then every polar-invariance point, as one list of pairs
+    points = []
+    pairs = []
     for mu in np.linspace(0.0, 1.0, steps):
         rho = mu_state(float(mu))
         for phi, obs in observables:
-            for report in _reports(rho, obs, kinds):
-                rows.append(
-                    {
-                        "spec_hash": stamp,
-                        "mu": float(mu),
-                        "phi": float(phi),
-                        "kind": report.kind.token(),
-                        "r_value": report.r_value,
-                    }
-                )
+            points.append((float(mu), float(phi)))
+            pairs.append((rho, obs))
     for phi in phis:
-        _theta_invariance_check(0.8, phi, kinds)
+        pairs += _theta_invariance_pairs(0.8, phi)
+    reports = _reports(pairs, kinds)
+    rows = []
+    for (mu, phi), point_reports in zip(points, reports):
+        for report in point_reports:
+            rows.append(
+                {
+                    "spec_hash": stamp,
+                    "mu": mu,
+                    "phi": phi,
+                    "kind": report.kind.token(),
+                    "r_value": report.r_value,
+                }
+            )
+    checks = reports[len(points):]
+    for n, phi in enumerate(phis):
+        block = checks[n * THETA_INVARIANCE_POINTS : (n + 1) * THETA_INVARIANCE_POINTS]
+        _theta_invariance_check(0.8, phi, block)
     return rows
 
 

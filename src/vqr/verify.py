@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, metrics
-from .channels import _dilation_residuals, build_dilation, phi_map
+from .channels import build_dilation, dilation_residuals, phi_map
 from .errors import OutOfRange
 from .realism import _deltas, _dilated_deltas
 from .states import random_density, random_observable
@@ -71,7 +71,8 @@ def _closed_form_group(s, i):
     """Closed-form against full-dilation information gain for each kind."""
     rho, a = _instance(s, i, max_d_a=4)
     kinds = [metrics.parse_kind(token) for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3")]
-    for kind, closed, full in zip(kinds, _deltas(rho, a, kinds), _dilated_deltas(rho, a, kinds)):
+    closed_forms = _deltas([(rho, a)], kinds)[0]
+    for kind, closed, full in zip(kinds, closed_forms, _dilated_deltas(rho, a, kinds)):
         yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
 
 
@@ -106,7 +107,7 @@ def _limit_group(s, i):
 def _dilation_group(s, i):
     """The dilation's reduction and invariance contracts."""
     rho, a = _instance(s, i, max_d_a=4)
-    reduction, invariance = _dilation_residuals(build_dilation(rho, a))
+    reduction, invariance = dilation_residuals(build_dilation(rho, a))
     yield "dilation_reduction", reduction
     yield "dilation_invariance", invariance
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vqr.audit import run_audit, run_axiom_cell
-from vqr.channels import build_dilation, dilation_invariance_residual, dilation_reduction_residual
+from vqr.channels import build_dilation, dilation_residuals
 from vqr.metrics import (
     BURES,
     HELLINGER,
@@ -48,15 +48,18 @@ GEOMETRIC = [TRACE, HILBERT_SCHMIDT, BURES, HELLINGER]
 
 
 class _Budget:
+    """A criterion's runtime budget, in CPU seconds of this process, so a
+    busy host does not count against the program."""
+
     def __init__(self, number, name, seconds):
         self.number, self.name, self.seconds = number, name, seconds
 
     def __enter__(self):
-        self.start = time.monotonic()
+        self.start = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self.start
+        elapsed = time.process_time() - self.start
         status = "PASS" if exc_type is None else "FAIL"
         print(f"ACCEPTANCE {self.number} ({self.name}): {status} [{elapsed:.2f}s]")
         if exc_type is None:
@@ -151,9 +154,9 @@ def test_criterion_6_dilation_contracts():
             seed = SEED + i
             rho = random_density(d_a * d_b, d_a * d_b, seed, dims=(d_a, d_b))
             obs = random_observable(d_a, seed + 50021, subsystem=0, dims=(d_a, d_b))
-            setup = build_dilation(rho, obs)
-            worst_reduction = max(worst_reduction, dilation_reduction_residual(setup))
-            worst_invariance = max(worst_invariance, dilation_invariance_residual(setup))
+            reduction, invariance = dilation_residuals(build_dilation(rho, obs))
+            worst_reduction = max(worst_reduction, reduction)
+            worst_invariance = max(worst_invariance, invariance)
         assert worst_reduction < 1e-10
         assert worst_invariance < 1e-10
 

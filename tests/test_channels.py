@@ -4,8 +4,7 @@ import pytest
 from vqr import linalg
 from vqr.channels import (
     build_dilation,
-    dilation_invariance_residual,
-    dilation_reduction_residual,
+    dilation_residuals,
     evolve,
     has_reality,
     measure_nonselective,
@@ -267,9 +266,9 @@ class TestDilation:
             d_a = 2 + (i % 3)
             rho = random_density(2 * d_a, 2 * d_a, 8000 + i, dims=(d_a, 2))
             obs = random_observable(d_a, 8500 + i, subsystem=0, dims=(d_a, 2))
-            setup = build_dilation(rho, obs)
-            assert dilation_reduction_residual(setup) < 1e-10
-            assert dilation_invariance_residual(setup) < 1e-10
+            reduction, invariance = dilation_residuals(build_dilation(rho, obs))
+            assert reduction < 1e-10
+            assert invariance < 1e-10
 
     def test_unitary_is_unitary(self):
         setup = build_dilation(werner(0.4), SIGMA_Z_ON_FIRST)
@@ -294,7 +293,7 @@ class TestDilation:
 
     def test_env_ground_choice(self):
         setup = build_dilation(werner(0.4), SIGMA_Z_ON_FIRST, env_ground=1)
-        assert dilation_reduction_residual(setup) < 1e-12
+        assert dilation_residuals(setup)[0] < 1e-12
         with pytest.raises(OutOfRange):
             build_dilation(werner(0.4), SIGMA_Z_ON_FIRST, env_ground=5)
 

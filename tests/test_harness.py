@@ -338,6 +338,35 @@ class TestCli:
         assert payload["pattern_match"] is False
         assert [m.get("axiom") for m in payload["mismatches"]] == ["axiom2a"]
 
+    def test_mu_without_angles_prints_the_header_only(self, capsys):
+        code = main(["mu", "--phi", ""])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "spec_hash,mu,phi,kind,r_value\n"
+        assert captured.err == ""
+
+    def test_werner_two_grid_points(self, capsys):
+        code = main(["werner", "--eps-steps", "2"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert code == 0
+        assert len(lines) == 1 + 2 * len(WERNER_KINDS)
+        assert [line.split(",")[1] for line in lines[1:]] == ["0"] * 5 + ["1"] * 5
+        # the grid's ends, evaluated in a stack of two, as in the 101-point table
+        golden = os.path.join(os.path.dirname(__file__), "golden", "werner.csv")
+        with open(golden, encoding="utf-8") as fh:
+            full = fh.read().strip().split("\n")
+        ends = full[1:6] + full[-5:]
+        assert [line.split(",", 1)[1] for line in lines[1:]] == [
+            line.split(",", 1)[1] for line in ends
+        ]
+
+    def test_kind_without_realism_recipe_exits_one(self, capsys):
+        code = main(["werner", "--kinds", "tr,renyi0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "vqr: no realism recipe for divergence renyi0.5\n"
+
     def test_mu_unreadable_phi_exits_one(self, capsys):
         code = main(["mu", "--mu-steps", "3", "--phi", "abc"])
         captured = capsys.readouterr()
@@ -352,6 +381,13 @@ class TestCli:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"vqr: phi must be finite, got {phi}\n"
+
+    def test_mu_only_angle_nan_exits_one(self, capsys):
+        code = main(["mu", "--phi", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "vqr: phi must be finite, got nan\n"
 
     @pytest.mark.parametrize(
         "argv, name",

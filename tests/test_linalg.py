@@ -126,6 +126,137 @@ class TestFixPhases:
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(6)]
         assert np.all(np.abs(pivots.imag) < 1e-15) and np.all(pivots.real > 0)
 
+    def test_stacks_fix_each_member_as_the_loop(self):
+        for d in range(2, 13):
+            stack = np.stack(
+                [np.linalg.eigh(random_hermitian(d, seed=9000 + 20 * d + k))[1] for k in range(5)]
+            )
+            fixed = linalg._fix_phases(stack)
+            for member, got in zip(stack, fixed):
+                assert np.array_equal(got.view(float), _fix_phases_loop(member).view(float))
+
+    def test_zero_pivot_column_keeps_phase_one(self):
+        v = np.linalg.eigh(random_hermitian(4, seed=13))[1]
+        v[:, 2] = 0.0
+        stack = np.stack([v, np.linalg.eigh(random_hermitian(4, seed=14))[1]])
+        with np.errstate(all="raise"):
+            fixed = linalg._fix_phases(stack)
+        assert np.array_equal(np.ascontiguousarray(fixed[0][:, 2]).view(float), np.zeros(8))
+        for member, got in zip(stack, fixed):
+            assert np.array_equal(got.view(float), _fix_phases_loop(member).view(float))
+
+
+def _mixed_stack(d, seed):
+    """Seven Hermitian d x d matrices: random spectra (no cluster), repeated
+    eigenvalues, an exactly degenerate diagonal, a rank-deficient PSD
+    matrix (a cluster at zero when d > 2) and a spectrum with a cluster at
+    each end (two clusters from d = 5)."""
+    g = np.random.default_rng(seed).standard_normal((d, 1)) + 0j
+    rank_one = g @ g.conj().T
+    u = np.linalg.qr(random_hermitian(d, seed + 7) + 1j * random_hermitian(d, seed + 8))[0]
+    ends = np.array(([1.0, 1.0] + [2.0] + [3.0] * d)[:d])
+    members = [
+        random_psd(d, seed),
+        _degenerate_hermitian(d, seed + 1),
+        random_hermitian(d, seed + 3),
+        np.diag([1.0] * (d - 1) + [2.0]).astype(complex),
+        rank_one / np.trace(rank_one).real,
+        _degenerate_hermitian(d, seed + 5) @ _degenerate_hermitian(d, seed + 5),
+        (u * ends) @ u.conj().T,
+    ]
+    return np.stack(members)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+
+def _hermitian_eig_loop(m):
+    """The one-matrix eigendecomposition that the stacked hermitian_eig
+    replaced, cluster by cluster and column by column, kept as the
+    reference for its bits."""
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[k - 1] > linalg.DEGENERACY_GAP:
+            if k - start > 1:
+                q, r = np.linalg.qr(v[:, start:k])
+                signs = np.sign(np.real(np.diag(r)))
+                signs[signs == 0] = 1.0
+                v[:, start:k] = q * signs
+            start = k
+    return w, _fix_phases_loop(v)
+
+
+class TestStackedCore:
+    """A stack gives every member the bits it gets on its own."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_hermitian_eig(self, d):
+        stack = _mixed_stack(d, seed=4000 + d)
+        w, v = linalg.hermitian_eig(stack)
+        assert w.shape == (len(stack), d) and v.shape == stack.shape
+        for k, member in enumerate(stack):
+            alone = linalg.hermitian_eig(member)
+            assert np.array_equal(w[k], alone.eigenvalues)
+            assert _same_bits(v[k], alone.eigenvectors)
+            loop_w, loop_v = _hermitian_eig_loop(member)
+            assert np.array_equal(w[k], loop_w)
+            assert _same_bits(v[k], loop_v)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matrix_functions(self, d):
+        stack = _mixed_stack(d, seed=4100 + d)
+        psd = stack[[0, 3, 4, 5, 6]]
+        for f in (lambda w: w**2, np.exp):
+            for member, got in zip(stack, linalg.matrix_function(stack, f)):
+                assert _same_bits(got, linalg.matrix_function(member, f))
+        for alpha in (0.5, 1.5, -0.5):
+            for member, got in zip(psd, linalg.powm_psd(psd, alpha)):
+                assert _same_bits(got, linalg.powm_psd(member, alpha))
+        for member, got in zip(psd, linalg.sqrtm_psd(psd)):
+            assert _same_bits(got, linalg.sqrtm_psd(member))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_schatten_norm(self, d):
+        stack = _mixed_stack(d, seed=4200 + d)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            norms = linalg.schatten_norm(stack, p)
+            assert norms.shape == (len(stack),)
+            assert [linalg.schatten_norm(member, p) for member in stack] == norms.tolist()
+
+    def test_one_matrix_keeps_its_types(self):
+        m = random_psd(3, 17)
+        w, v = linalg.hermitian_eig(m)
+        assert w.shape == (3,) and v.shape == (3, 3)
+        assert type(linalg.schatten_norm(m, 1.0)) is float
+        assert type(linalg.schatten_norm(m, 3.0)) is float
+
+    def test_one_non_hermitian_member_raises(self):
+        stack = _mixed_stack(4, seed=4300)
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian) as err:
+            linalg.hermitian_eig(stack)
+        assert err.value.defect == pytest.approx(1e-6)
+
+    def test_one_negative_member_raises(self):
+        stack = _mixed_stack(4, seed=4400)[[0, 3, 4]]
+        stack[1] = np.diag([1.0, 0.5, -0.25, 0.0])
+        with pytest.raises(DomainError):
+            linalg.sqrtm_psd(stack)
+        with pytest.raises(DomainError):
+            linalg.matrix_function(stack, np.sqrt, clip_psd=True)
+
+    def test_non_finite_function_on_one_member_raises(self):
+        stack = np.stack([np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)])
+        with pytest.raises(DomainError):
+            linalg.matrix_function(stack, np.log)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.hermitian_eig(np.zeros((2, 3, 4)))
+
 
 class TestMatrixFunction:
     def test_identity_function(self):

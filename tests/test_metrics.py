@@ -345,3 +345,41 @@ class TestPropertyChecks:
         assert not expected_distance_properties(lp(3.0))["contractivity"]
         assert expected_distance_properties(BURES)["joint_convexity"]
         assert not expected_distance_properties(BURES.with_power(1.0))["joint_convexity"]
+
+
+class TestStackedEvaluation:
+    """A stack gives each member the bits of its own call: the distances of
+    every property-table column, and the von Neumann entropy."""
+
+    def test_stack_equals_one_pair_calls(self):
+        from vqr.audit import PROPERTY_COLUMNS
+
+        kinds = [metrics.parse_kind(t).with_power(power) for t, power in PROPERTY_COLUMNS]
+        kinds.append(metrics.lp(1.5))
+        for d in (2, 3, 4, 6):
+            pairs = [metrics._random_pair(700 + 10 * d + k, d) for k in range(4)]
+            pairs.append((pairs[0][0], pairs[0][0]))
+            stacked = metrics._stacked_distances(kinds, pairs)
+            assert stacked == [tuple(metrics._powered_distances(kinds, r, s)) for r, s in pairs]
+            assert stacked == [
+                tuple(metrics.powered_distance(k, r, s) for k in kinds) for r, s in pairs
+            ]
+
+    def test_entropies_of_a_stack_sum_each_member_alone(self):
+        # Rank-deficient states up to d = 12: their clipped null eigenvalues
+        # are exact zeros, and a masked sum over the whole stack would add
+        # the rest in another order.  The reference sums one spectrum's
+        # positive eigenvalues, as the one-matrix entropy always has.
+        def alone(m):
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+            w = np.where((w < 0.0) & (w >= -1e-10), 0.0, w)
+            pos = w[w > 0.0]
+            return float(-(pos * np.log(pos)).sum())
+
+        for d in (2, 4, 8, 12):
+            stack = np.stack(
+                [random_density(d, 1 + k % d, 800 + 10 * d + k).matrix for k in range(8)]
+            )
+            expected = [alone(member) for member in stack]
+            assert metrics._entropies(stack).tolist() == expected
+            assert [metrics.von_neumann_entropy(member) for member in stack] == expected

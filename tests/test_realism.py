@@ -331,7 +331,7 @@ class TestKindListHelpers:
         kinds = [parse_kind(token) for token in tokens]
         for i in range(6):
             rho, obs = random_instance(9100 + i, i)
-            shared = _deltas(rho, obs, kinds)
+            shared = _deltas([(rho, obs)], kinds)[0]
             assert shared == [delta_conditional_information(rho, obs, k) for k in kinds]
 
     @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
@@ -348,7 +348,7 @@ class TestKindListHelpers:
         fields = ("kind", "r_value", "r_max", "delta_i", "vqr_detected")
         for i in range(6):
             rho, obs = random_instance(9500 + i, i)
-            shared = _reports(rho, obs, kinds)
+            shared = _reports([(rho, obs)], kinds)[0]
             expected = [realism(rho, obs, k) for k in kinds]
             assert len(shared) == len(expected)
             for got, want in zip(shared, expected):
@@ -367,14 +367,43 @@ class TestKindListHelpers:
                 ]
                 assert _conditional_informations(omega, 2, kinds) == expected
 
+    @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
+    def test_mixed_dimension_pair_lists_equal_one_pair_calls(self, tokens):
+        # dims (2,2), (3,2), (4,2), (2,3), (3,3) and (4,3): dimension 6 with
+        # 3 and with 2 outcomes, and the same pair twice
+        kinds = [parse_kind(token) for token in tokens]
+        pairs = [random_instance(9600 + i, i, d_b=2 + (i > 5)) for i in range(9)]
+        pairs.append(pairs[1])
+        stacked = _deltas(pairs, kinds)
+        assert stacked == [_deltas([pair], kinds)[0] for pair in pairs]
+        assert stacked == [
+            [delta_conditional_information(rho, obs, k) for k in kinds] for rho, obs in pairs
+        ]
+        fields = ("kind", "r_value", "r_max", "delta_i", "vqr_detected")
+        reports = _reports(pairs, kinds)
+        assert len(reports) == len(pairs)
+        for row, (rho, obs) in zip(reports, pairs):
+            assert [[getattr(r, f) for f in fields] for r in row] == [
+                [getattr(realism(rho, obs, k), f) for f in fields] for k in kinds
+            ]
+
+    def test_empty_pair_list(self):
+        kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
+        assert _deltas([], kinds) == []
+        assert _reports([], kinds) == []
+
     @pytest.mark.parametrize("position", [0, 3, 7])
     def test_renyi_anywhere_in_the_list_raises(self, position):
         rho, obs = random_instance(9400, 0)
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
         kinds.insert(position, renyi(0.5))
-        for helper in (_deltas, _dilated_deltas, _reports):
+        for call in (
+            lambda: _deltas([(rho, obs)], kinds),
+            lambda: _dilated_deltas(rho, obs, kinds),
+            lambda: _reports([(rho, obs)], kinds),
+        ):
             with pytest.raises(InvalidOrder, match="no realism recipe"):
-                helper(rho, obs, kinds)
+                call()
 
 
 @pytest.mark.parametrize("kind", [renyi(0.5), sandwiched_renyi(2.0)], ids=lambda k: k.token())
