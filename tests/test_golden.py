@@ -5,7 +5,8 @@ The files under tests/golden/ are the stdout of `vqr werner`, `vqr mu` and
 (which adds the `vn` and `lp` rows), of `vqr werner --kinds
 tr,hs,bu,he,vn,lp1.5,lp3` and `vqr mu --phi 0.3,1.1,2` (every kind, and more
 than one angle, evaluated from each sweep point), of `vqr audit --trials 20
---property-trials 20` and of `vqr verify --trials 10`, recorded with numpy
+--property-trials 20` and of `vqr verify --trials 10`, and of `vqr audit` and
+`vqr verify` at their defaults (200 and 100 trials), recorded with numpy
 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).
 A few entries of mu.csv are at the 1e-16 rounding level, so they depend on
 the BLAS build: on another build this test can fail although the program is
@@ -36,8 +37,11 @@ GOLDEN = Path(__file__).parent / "golden"
         (["mu", "--phi", "0.3,1.1,2"], 0, "mu_phis.csv"),
         (["audit", "--trials", "20", "--property-trials", "20"], 2, "audit.json"),
         (["verify", "--trials", "10"], 0, "verify.json"),
+        (["audit"], 2, "audit_defaults.json"),
+        (["verify"], 0, "verify_defaults.json"),
     ],
-    ids=["werner", "mu", "rmax", "rmax_kinds", "werner_kinds", "mu_phis", "audit", "verify"],
+    ids=["werner", "mu", "rmax", "rmax_kinds", "werner_kinds", "mu_phis", "audit", "verify",
+         "audit_defaults", "verify_defaults"],
 )
 def test_sweep_stdout_matches_golden(argv, code, name, capsys, monkeypatch):
     monkeypatch.delenv("VQR_SEED", raising=False)
