@@ -84,20 +84,11 @@ _SUM_TOL = 1e-9
 
 # --------------------------------------------------------------------------
 # Per-axiom counterexample searches.  Each yields the axiom's cases in
-# order as (seed, test): the seed reported with a witness (-1 for a
-# structured probe) and a test that maps kinds to a witness or None each.
+# order as (seed, (witness, pairs)): the seed reported with a witness (-1
+# for a structured probe), the case's (state, observable) pairs, and
+# witness(kind, *gains), which judges the gains of those pairs for one kind
+# and returns a witness or None.
 # --------------------------------------------------------------------------
-
-
-def _case(witness, *pairs):
-    """The test of a case: the gains of all its (state, observable) pairs
-    are computed in one pass for all kinds, and witness(kind, *gains)
-    judges each."""
-    def test(kinds):
-        gains = _deltas(pairs, kinds)
-        return [witness(kind, *kind_gains) for kind, *kind_gains in zip(kinds, *gains)]
-
-    return test
 
 
 def _bipartite_instance(seed, i):
@@ -127,7 +118,7 @@ def _monitoring_chain(rho, a, label, probe_seed):
             )
         return None
 
-    return _case(witness, (rho, a), (monitored, a), (measured, a))
+    return witness, ((rho, a), (monitored, a), (measured, a))
 
 
 def _axiom1_cases(seed, trials):
@@ -149,7 +140,7 @@ def _bystander(label, small, big, two_sided=False):
             return label if abs(d_big - d_small) > _EQUALITY_TOL else None
         return label if d_small > d_big + _CHAIN_TOL else None
 
-    return _case(witness, small, big)
+    return witness, (small, big)
 
 
 def _axiom2a_cases(seed, trials):
@@ -202,7 +193,7 @@ def _forbidden_saturation(label, rho, x, y):
             return None
         return f"{label}: saturation with non-commuting observables on a correlated state"
 
-    return _case(witness, (rho, x), (rho, y))
+    return witness, ((rho, x), (rho, y))
 
 
 def _axiom3_cases(seed, trials):
@@ -229,7 +220,7 @@ def _mixing(label, probs, parts, a):
         rhs = sum(p * d for p, d in zip(probs, part_gains))
         return label if lhs > rhs + _SUM_TOL else None
 
-    return _case(witness, (mixture, a), *((r, a) for r in parts))
+    return witness, ((mixture, a), *((r, a) for r in parts))
 
 
 def _axiom4_cases(seed, trials):
@@ -253,17 +244,26 @@ _AXIOM_CASES = {
 
 
 def _first_witnesses(axiom: str, tokens, trials: int, seed: int) -> list[tuple]:
-    """Search one axiom for every kind at once: each case is drawn once and
-    tested on the kinds still without a witness, so every kind gets the
-    (witness, witness_seed) of its own first failing case, or (None, None)."""
+    """Search one axiom for every kind at once, a block of cases at a time:
+    one _deltas pass gives the gains of every pair of the block for the
+    kinds still without a witness, then the cases are judged in order, so
+    every kind gets the (witness, witness_seed) of its own first failing
+    case, or (None, None).  The search stops after the block in which the
+    last kind finds its witness."""
     kinds = [metrics.parse_kind(token) for token in tokens]
     found = [(None, None)] * len(kinds)
     cell_seed = seed + 1_000_000 * (AXIOMS.index(axiom) + 1)
-    for case_seed, test in _AXIOM_CASES[axiom](cell_seed, trials):
+    for block in metrics._trial_blocks(_AXIOM_CASES[axiom](cell_seed, trials)):
         open_ = [k for k, (witness, _) in enumerate(found) if witness is None]
-        for k, witness in zip(open_, test([kinds[k] for k in open_])):
-            if witness:
-                found[k] = (witness, case_seed)
+        gains = iter(_deltas([pair for _, (_, pairs) in block for pair in pairs],
+                             [kinds[k] for k in open_]))
+        for case_seed, (witness, pairs) in block:
+            case_gains = [next(gains) for _ in pairs]
+            for j, k in enumerate(open_):
+                if found[k][0] is None:
+                    verdict = witness(kinds[k], *(pair_gains[j] for pair_gains in case_gains))
+                    if verdict:
+                        found[k] = (verdict, case_seed)
         if all(witness for witness, _ in found):
             break
     return found

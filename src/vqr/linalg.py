@@ -114,6 +114,11 @@ def _fix_clusters(v: np.ndarray, joined: np.ndarray) -> np.ndarray:
     """Re-orthonormalize every degenerate cluster by a QR pass in index
     order, with the signs of R's diagonal pinned positive.
 
+    The phase fix that follows rotates every column, so the pin changes no
+    value, but it does change signed zeros: multiplying by (+1 + 0j) turns
+    some -0.0 parts into +0.0, which exactly degenerate inputs (identity,
+    block projectors) show in their eigenvectors.
+
     joined[..., k] says columns k and k + 1 share a cluster.  Every cluster
     of one size, across the whole stack, goes into one stacked QR.
     """
@@ -243,13 +248,6 @@ def schatten_norm(m, p: float):
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices."""
     return np.kron(as_square(a), as_square(b))
-
-
-def kron_all(*ms) -> np.ndarray:
-    out = as_square(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, as_square(m))
-    return out
 
 
 def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:

@@ -168,13 +168,25 @@ class Observable:
 
     @cached_property
     def full_projectors(self) -> tuple[np.ndarray, ...]:
-        """Projectors embedded into the ambient product space."""
+        """Projectors embedded into the ambient product space,
+        (1_left (x) P) (x) 1_right, as read-only views of one stack.
+
+        Each factor is one broadcast product over all the projectors, in
+        np.kron's multiplication order and with complex identities, so the
+        entries have np.kron's bits, signed zeros included.
+        """
+        d = self.subsystem_dim
         d_left = math.prod(self.dims[: self.subsystem])
         d_right = math.prod(self.dims[self.subsystem + 1 :])
-        eye_l, eye_r = np.eye(d_left), np.eye(d_right)
-        return tuple(
-            _frozen(linalg.kron_all(eye_l, p, eye_r)) for p in self.projectors
-        )
+        n, k = d_left * d * d_right, self.outcomes
+        eye_l = np.eye(d_left, dtype=complex)
+        eye_r = np.eye(d_right, dtype=complex)
+        projs = np.array(self.projectors)
+        left = eye_l[None, :, None, :, None] * projs[:, None, :, None, :]
+        left = left.reshape(k, d_left * d, d_left * d)
+        full = (left[:, :, None, :, None] * eye_r[None, None, :, None, :]).reshape(k, n, n)
+        full.flags.writeable = False
+        return tuple(full)
 
     @cached_property
     def _pinching_mask(self) -> np.ndarray | None:
@@ -226,6 +238,13 @@ def werner(epsilon: float) -> DensityMatrix:
     return DensityMatrix((1 - epsilon) * np.eye(4) / 4 + epsilon * phi, (2, 2))
 
 
+# The Pauli products of the mu family, XX - YY and ZZ.
+_MU_COHERENCE = np.kron(PAULI_X, PAULI_X) - np.kron(PAULI_Y, PAULI_Y)
+_MU_COHERENCE.flags.writeable = False
+_MU_CORRELATION = np.kron(PAULI_Z, PAULI_Z)
+_MU_CORRELATION.flags.writeable = False
+
+
 def mu_state(mu: float) -> DensityMatrix:
     """Two-qubit family I/4 + (mu/4)(XX - YY) + ((2mu-1)/4) ZZ.
 
@@ -233,11 +252,7 @@ def mu_state(mu: float) -> DensityMatrix:
     """
     if not 0.0 <= mu <= 1.0:
         raise OutOfRange(f"mu must be in [0, 1], got {mu}")
-    m = (
-        np.eye(4) / 4
-        + (mu / 4) * (np.kron(PAULI_X, PAULI_X) - np.kron(PAULI_Y, PAULI_Y))
-        + ((2 * mu - 1) / 4) * np.kron(PAULI_Z, PAULI_Z)
-    )
+    m = np.eye(4) / 4 + (mu / 4) * _MU_COHERENCE + ((2 * mu - 1) / 4) * _MU_CORRELATION
     return DensityMatrix(m, (2, 2))
 
 

@@ -49,71 +49,107 @@ def _instance(seed, i, max_d_a=3):
     return rho, a
 
 
-def _pinching_group(s, i):
+def _by_dimension(matrices) -> list[tuple[list[int], np.ndarray]]:
+    """The matrices as one stack per dimension, each with the positions of
+    its members in the input."""
+    groups = {}
+    for n, m in enumerate(matrices):
+        groups.setdefault(m.shape[-1], []).append(n)
+    return [(members, np.stack([matrices[n] for n in members])) for members in groups.values()]
+
+
+def _pinching_group(seed, block):
     """Pinching trace identity Tr(rho f(Phi(sigma))) = Tr(Phi(rho) f(Phi(sigma)))
     for each f, and the Hilbert-Schmidt purity loss
-    ||rho||_2^2 - ||Phi(rho)||_2^2 = ||rho - Phi(rho)||_2^2."""
-    rho, a = _instance(s, i)
-    sigma = random_density(rho.dim, rho.dim, s + 777, dims=rho.dims)
-    phi = phi_map(rho.matrix, a)
-    phi_sigma = phi_map(sigma.matrix, a)
-    for fname, f in _PINCHING_FUNCTIONS.items():
-        f_phi_sigma = linalg.matrix_function(phi_sigma, f, clip_psd=True)
-        lhs = np.trace(rho.matrix @ f_phi_sigma)
-        rhs = np.trace(phi @ f_phi_sigma)
-        yield f"pinching_trace_identity_{fname}", abs(complex(lhs - rhs))
-    lhs = linalg.schatten_norm(rho.matrix, 2) ** 2 - linalg.schatten_norm(phi, 2) ** 2
-    rhs = linalg.schatten_norm(rho.matrix - phi, 2) ** 2
-    yield "hs_purity_loss_identity", abs(lhs - rhs)
+    ||rho||_2^2 - ||Phi(rho)||_2^2 = ||rho - Phi(rho)||_2^2; f(Phi(sigma))
+    and the norms of the block are evaluated as one stack per dimension."""
+    rhos, phis, phi_sigmas = [], [], []
+    for i in block:
+        rho, a = _instance(seed + i, i)
+        sigma = random_density(rho.dim, rho.dim, seed + i + 777, dims=rho.dims)
+        rhos.append(rho.matrix)
+        phis.append(phi_map(rho.matrix, a))
+        phi_sigmas.append(phi_map(sigma.matrix, a))
+    f_phi_sigmas = [[None] * len(block) for _ in _PINCHING_FUNCTIONS]
+    norms = [[None] * len(block) for _ in range(3)]  # rho, Phi(rho), rho - Phi(rho)
+    for members, phi_sigma in _by_dimension(phi_sigmas):
+        for out, f in zip(f_phi_sigmas, _PINCHING_FUNCTIONS.values()):
+            for n, value in zip(members, linalg.matrix_function(phi_sigma, f, clip_psd=True)):
+                out[n] = value
+    for members, rho_phi in _by_dimension([np.stack(m) for m in zip(rhos, phis)]):
+        rho, phi = rho_phi[:, 0], rho_phi[:, 1]
+        for out, m in zip(norms, (rho, phi, rho - phi)):
+            for n, value in zip(members, linalg.schatten_norm(m, 2).tolist()):
+                out[n] = value
+    for n in range(len(block)):
+        for fname, f_phi_sigma in zip(_PINCHING_FUNCTIONS, f_phi_sigmas):
+            lhs = np.trace(rhos[n] @ f_phi_sigma[n])
+            rhs = np.trace(phis[n] @ f_phi_sigma[n])
+            yield f"pinching_trace_identity_{fname}", abs(complex(lhs - rhs))
+        norm_rho, norm_phi, norm_diff = (norm[n] for norm in norms)
+        yield "hs_purity_loss_identity", abs(norm_rho**2 - norm_phi**2 - norm_diff**2)
 
 
-def _closed_form_group(s, i):
-    """Closed-form against full-dilation information gain for each kind."""
-    rho, a = _instance(s, i, max_d_a=4)
+def _closed_form_group(seed, block):
+    """Closed-form against full-dilation information gain for each kind:
+    one _deltas pass for the closed forms of the block, one dilation per
+    instance."""
+    instances = [_instance(seed + i, i, max_d_a=4) for i in block]
     kinds = [metrics.parse_kind(token) for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3")]
-    closed_forms = _deltas([(rho, a)], kinds)[0]
-    for kind, closed, full in zip(kinds, closed_forms, _dilated_deltas(rho, a, kinds)):
-        yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
+    for (rho, a), closed_forms in zip(instances, _deltas(instances, kinds)):
+        for kind, closed, full in zip(kinds, closed_forms, _dilated_deltas(rho, a, kinds)):
+            yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
 
 
-def _renyi_group(s, i):
-    """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2)."""
-    d = 2 + (i % 3)
-    rho = random_density(d, d, s)
-    sigma = random_density(d, max(1, d - (i % 2)), s + 104729)
-    for name, distance_sq, div in (
-        ("bures_from_sandwiched_renyi_half", metrics.bures_distance_sq,
-         metrics.sandwiched_renyi_divergence),
-        ("hellinger_from_renyi_half", metrics.hellinger_distance_sq, metrics.renyi_divergence),
-    ):
-        rhs = 2.0 - 2.0 * np.exp(-0.5 * div(rho, sigma, 0.5))
-        yield name, abs(distance_sq(rho, sigma) - rhs)
+def _renyi_group(seed, block):
+    """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2);
+    the distances of the block come from one stacked pass per dimension."""
+    pairs = []
+    for i in block:
+        d = 2 + (i % 3)
+        rho = random_density(d, d, seed + i)
+        sigma = random_density(d, max(1, d - (i % 2)), seed + i + 104729)
+        pairs.append((rho.matrix, sigma.matrix))
+    distances = metrics._stacked_distances([metrics.BURES, metrics.HELLINGER], pairs)
+    for (rho, sigma), squares in zip(pairs, distances):
+        for name, distance_sq, div in zip(
+            ("bures_from_sandwiched_renyi_half", "hellinger_from_renyi_half"),
+            squares,
+            (metrics.sandwiched_renyi_divergence, metrics.renyi_divergence),
+        ):
+            rhs = 2.0 - 2.0 * np.exp(-0.5 * div(rho, sigma, 0.5))
+            yield name, abs(distance_sq - rhs)
 
 
-def _limit_group(s, i):
+def _limit_group(seed, block):
     """Both Renyi divergences tend to the relative entropy as alpha -> 1."""
-    d = 2 + (i % 3)
-    rho = random_density(d, d, s)
-    sigma = random_density(d, d, s + 104729)
-    reference = metrics.relative_entropy(rho, sigma)
-    for name, div in (
-        ("renyi_limit_to_relative_entropy", metrics.renyi_divergence),
-        ("sandwiched_limit_to_relative_entropy", metrics.sandwiched_renyi_divergence),
-    ):
-        for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
-            yield name, abs(div(rho, sigma, alpha) - reference)
+    for i in block:
+        d = 2 + (i % 3)
+        rho = random_density(d, d, seed + i)
+        sigma = random_density(d, d, seed + i + 104729)
+        reference = metrics.relative_entropy(rho, sigma)
+        for name, div in (
+            ("renyi_limit_to_relative_entropy", metrics.renyi_divergence),
+            ("sandwiched_limit_to_relative_entropy", metrics.sandwiched_renyi_divergence),
+        ):
+            for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
+                yield name, abs(div(rho, sigma, alpha) - reference)
 
 
-def _dilation_group(s, i):
-    """The dilation's reduction and invariance contracts."""
-    rho, a = _instance(s, i, max_d_a=4)
-    reduction, invariance = dilation_residuals(build_dilation(rho, a))
-    yield "dilation_reduction", reduction
-    yield "dilation_invariance", invariance
+def _dilation_group(seed, block):
+    """The dilation's reduction and invariance contracts, one dilation per
+    instance: at 48 x 48 it is bound by the products, not by dispatch."""
+    for i in block:
+        rho, a = _instance(seed + i, i, max_d_a=4)
+        reduction, invariance = dilation_residuals(build_dilation(rho, a))
+        yield "dilation_reduction", reduction
+        yield "dilation_invariance", invariance
 
 
-# Each group draws trial i's instances once, at its own offset from the
-# seed, and yields (identity, residual) for every identity it checks.
+# Each group takes a block of trials, draws trial i's instances once at
+# seed + i (the group's own offset from the run's seed is in the seed it
+# gets) and yields (identity, residual) for every identity it checks,
+# trial by trial.
 _GROUPS = (
     (0, _pinching_group),
     (1000, _closed_form_group),
@@ -124,10 +160,11 @@ _GROUPS = (
 
 
 def _max_residuals(group, trials, seed) -> dict[str, float]:
-    """The worst residual of each of the group's identities over the trials."""
+    """The worst residual of each of the group's identities over the
+    trials, taken TRIAL_BLOCK trials at a time."""
     worst = {}
-    for i in range(trials):
-        for identity, residual in group(seed + i, i):
+    for block in metrics._trial_blocks(range(trials)):
+        for identity, residual in group(seed, block):
             worst[identity] = max(worst.get(identity, 0.0), residual)
     return worst
 

@@ -17,7 +17,8 @@ from vqr.audit import (
 )
 from vqr.cli import main
 from vqr.errors import InvalidAlpha, InvalidOrder, OutOfRange
-from vqr.metrics import check_distance_properties
+from vqr.metrics import TRIAL_BLOCK, check_distance_properties
+from vqr.states import computational_observable, werner
 from vqr.sweeps import (
     MU_KINDS,
     RMAX_KINDS,
@@ -174,7 +175,7 @@ class TestAudit:
         second = run_axiom_cell("tr", "axiom1", 20, SEED)
         assert first == second
 
-    @pytest.mark.parametrize("trials", [1, 7, 20])
+    @pytest.mark.parametrize("trials", [1, 7, 20, 2 * TRIAL_BLOCK + 1])
     def test_shared_search_matches_each_single_cell(self, trials):
         # run_audit searches each axiom for all kinds at once; every cell
         # must equal the cell searched on its own.
@@ -191,21 +192,19 @@ class TestAudit:
         # A synthetic axiom whose cases fail for tr from case 0 and for hs
         # from case 2: the shared search keeps testing hs (and bu, which
         # never fails) after tr's witness, and tests tr no more.  Each case
-        # test takes the kinds still without a witness and returns one
-        # witness or None per kind.
+        # is (witness, pairs); the witness is called once per kind still
+        # without a witness, on that kind's gains of the case's pairs.
         first_failure = {"tr": 0, "hs": 2}
         tested = []
+        pair = (werner(0.5), computational_observable(2, 0, (2, 2)))
 
         def cases(seed, trials):
             for i in range(trials):
-                def test(kinds, i=i):
-                    tested.extend((kind.token(), i) for kind in kinds)
-                    return [
-                        f"case {i}" if i >= first_failure.get(kind.token(), trials) else None
-                        for kind in kinds
-                    ]
+                def witness(kind, gain, i=i):
+                    tested.append((kind.token(), i))
+                    return f"case {i}" if i >= first_failure.get(kind.token(), trials) else None
 
-                yield seed + i, test
+                yield seed + i, (witness, (pair,))
 
         monkeypatch.setitem(audit._AXIOM_CASES, "axiom4", cases)
         found = audit._first_witnesses("axiom4", ["tr", "hs", "bu"], 4, 0)
@@ -217,7 +216,15 @@ class TestAudit:
     def test_property_table_matches_each_single_column(self):
         # run_property_table draws each probe once for all columns; each
         # column must equal check_distance_properties run on it alone.
-        rows = run_property_table(10, SEED)
+        self._assert_columns_match(10)
+
+    def test_property_table_matches_each_single_column_across_blocks(self):
+        # Two whole blocks of stacked trials and one trial of a third.
+        self._assert_columns_match(2 * TRIAL_BLOCK + 1)
+
+    @staticmethod
+    def _assert_columns_match(trials):
+        rows = run_property_table(trials, SEED)
         for token, power in PROPERTY_COLUMNS:
             kind = parse_kind(token).with_power(power)
             shared = [
@@ -225,7 +232,7 @@ class TestAudit:
                 for row in rows
                 if row["kind"] == kind.label()
             ]
-            single = [report.to_json() for report in check_distance_properties(kind, 10, SEED)]
+            single = [report.to_json() for report in check_distance_properties(kind, trials, SEED)]
             assert shared == single, kind.label()
 
     def test_crosses_have_witnesses(self):

@@ -226,6 +226,35 @@ class TestStackedCore:
             assert norms.shape == (len(stack),)
             assert [linalg.schatten_norm(member, p) for member in stack] == norms.tolist()
 
+    def test_exactly_degenerate_inputs_keep_the_loop_bits(self):
+        # On exactly degenerate spectra most eigenvector entries are exact
+        # zeros, whose signs the sign pin after each cluster QR sets: the
+        # stack and the loop reference give the same bits, signed zeros
+        # included, and without the pin they would not.
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        ket = np.random.default_rng(4500).standard_normal(4) + 1j * np.random.default_rng(4501).standard_normal(4)
+        rank_one = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        u = np.linalg.qr(random_hermitian(4, 4502) + 1j * random_hermitian(4, 4503))[0]
+        block = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        members = [
+            np.eye(4, dtype=complex),
+            block,
+            block / 2,
+            np.kron(plus, np.diag([1.0, 0.0])).astype(complex),  # |+0><+0|
+            rank_one,
+            np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex) / 2,  # 1 (x) |0><0| / 2
+            np.kron(plus, np.eye(2)) / 2,  # |+><+| (x) 1 / 2
+            (u * np.array([0.0, 0.0, 0.5, 0.5])) @ u.conj().T,
+        ]
+        stacked = linalg.hermitian_eig(np.stack(members))
+        for k, member in enumerate(members):
+            loop_w, loop_v = _hermitian_eig_loop(member)
+            for w, v in (linalg.hermitian_eig(member), (stacked[0][k], stacked[1][k])):
+                assert np.array_equal(w.view(float), loop_w.view(float)), k
+                assert np.array_equal(np.signbit(w), np.signbit(loop_w)), k
+                assert np.array_equal(v.view(float), loop_v.view(float)), k
+                assert np.array_equal(np.signbit(v.view(float)), np.signbit(loop_v.view(float))), k
+
     def test_one_matrix_keeps_its_types(self):
         m = random_psd(3, 17)
         w, v = linalg.hermitian_eig(m)

@@ -14,6 +14,9 @@ from vqr.errors import (
     TraceNotOne,
 )
 from vqr.states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     Observable,
     computational_observable,
@@ -255,6 +258,40 @@ class TestObservableInvariants:
         full = obs.full_projectors
         assert full[0].shape == (6, 6)
         assert np.allclose(sum(full), np.eye(6))
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "dims, subsystem",
+        [((2,), 0), ((2, 2), 0), ((2, 2), 1), ((3, 2, 2), 0), ((3, 2, 2), 1), ((2, 3, 2), 1),
+         ((2, 2, 3), 2)],
+    )
+    def test_full_projectors_have_the_bits_of_kron(self, dims, subsystem, seed):
+        # random, computational and (on qubits) spin projectors, whose
+        # exact and signed zeros the embedding must keep
+        d = dims[subsystem]
+        observables = [random_observable(d, seed, subsystem=subsystem, dims=dims),
+                       computational_observable(d, subsystem, dims)]
+        if d == 2:
+            observables.append(spin_observable(0.7 * seed, 0.4 * seed, subsystem, dims))
+        eye_l = np.eye(int(np.prod(dims[:subsystem])), dtype=complex)
+        eye_r = np.eye(int(np.prod(dims[subsystem + 1:])), dtype=complex)
+        for obs in observables:
+            for p, full in zip(obs.projectors, obs.full_projectors):
+                expected = np.kron(np.kron(eye_l, p), eye_r)
+                assert np.array_equal(full.view(float), expected.view(float))
+                assert np.array_equal(np.signbit(full.view(float)),
+                                      np.signbit(expected.view(float)))
+                assert not full.flags.writeable
+
+    def test_mu_state_matches_the_pauli_expansion(self):
+        xx_yy = np.kron(PAULI_X, PAULI_X) - np.kron(PAULI_Y, PAULI_Y)
+        zz = np.kron(PAULI_Z, PAULI_Z)
+        for mu in (0.0, 0.13, 0.5, 0.77, 1.0):
+            expected = np.eye(4) / 4 + (mu / 4) * xx_yy + ((2 * mu - 1) / 4) * zz
+            assert np.array_equal(mu_state(mu).matrix.view(float), expected.view(float))
+            assert np.array_equal(np.signbit(mu_state(mu).matrix.view(float)),
+                                  np.signbit(expected.view(float)))
 
 
 class TestRandomSampling:
