@@ -380,15 +380,21 @@ def renyi_divergence(rho, sigma, alpha: float) -> float:
 
 def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence
-    ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a)."""
+    ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a).
+
+    The trace is sum_i s_i^(2a) over the singular values s of
+    sigma^e sqrt(rho), whose squares are the eigenvalues of
+    sigma^e rho sigma^e.  An eigenvalue near 1e-15 is a singular value
+    near 3e-8, which the SVD resolves; its a-th power (about 3e-5 at
+    a = 0.3) would be lost below an eigenvalue floor.
+    """
     alpha = _check_alpha(alpha)
     r, s = _pair(rho, sigma)
     if _sigma_spectrum(r, s, check_support=alpha > 1) is None:
         return float("inf")
     s_pow = linalg.powm_psd(s, (1.0 - alpha) / (2.0 * alpha))
-    inner = s_pow @ r @ s_pow
-    w = _clipped_eigvalsh((inner + inner.conj().T) / 2)
-    return _renyi(r, alpha, float((w[w > linalg.SPECTRAL_FLOOR] ** alpha).sum()))
+    singular = np.linalg.svd(s_pow @ linalg.sqrtm_psd(r), compute_uv=False)
+    return _renyi(r, alpha, float((singular ** (2.0 * alpha)).sum()))
 
 
 # --------------------------------------------------------------------------

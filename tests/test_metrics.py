@@ -31,6 +31,7 @@ from vqr.states import (
     max_entangled,
     mu_state,
     random_density,
+    random_observable,
     spin_observable,
     werner,
 )
@@ -313,6 +314,22 @@ class TestRenyi:
     def test_support_violation_above_one(self):
         assert renyi_divergence(np.eye(2) / 2, ZERO, 2.0) == float("inf")
         assert sandwiched_renyi_divergence(np.eye(2) / 2, ZERO, 2.0) == float("inf")
+
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0])
+    def test_sandwiched_additive_on_products(self, alpha):
+        # sigma^e rho sigma^e of (rho (x) s, Phi(rho) (x) s) has eigenvalues
+        # near 1e-15 at alpha = 0.3; an eigenvalue floor dropped them and
+        # broke additivity by 8e-5 on this instance.
+        rho = random_density(4, 4, 3020240, dims=(2, 2))
+        obs = random_observable(2, 3070261, subsystem=0, dims=(2, 2))
+        bystander = random_density(2, 2, 3080253).matrix
+        phi = phi_map(rho.matrix, obs)
+        alone = sandwiched_renyi_divergence(rho.matrix, phi, alpha)
+        product = sandwiched_renyi_divergence(
+            np.kron(rho.matrix, bystander), np.kron(phi, bystander), alpha
+        )
+        assert abs(product - alone) < 1e-9
 
 
 class TestPropertyChecks:
