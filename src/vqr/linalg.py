@@ -87,6 +87,20 @@ def scalar_power(x, e: float) -> np.ndarray:
     return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
 
 
+def stackwise(f: Callable, matrices: Sequence[np.ndarray]) -> list:
+    """f of each array in a list, evaluated as one stack per shape: f takes
+    a stack (N, ...) and returns N results, which come back in input order.
+    """
+    groups = {}
+    for n, m in enumerate(matrices):
+        groups.setdefault(m.shape, []).append(n)
+    out = [None] * len(matrices)
+    for members in groups.values():
+        for n, value in zip(members, f(np.stack([matrices[n] for n in members]))):
+            out[n] = value
+    return out
+
+
 class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # unitary, columns matching eigenvalues

@@ -278,16 +278,10 @@ def _stacked_distances(kinds, pairs) -> list[tuple]:
     """_powered_distances of each (rho, sigma) pair, evaluated as one stack
     per matrix dimension: per pair, in input order, a tuple of one value per
     kind."""
-    by_dim = {}
-    for n, (r, _) in enumerate(pairs):
-        by_dim.setdefault(r.shape[-1], []).append(n)
-    values = [None] * len(pairs)
-    for members in by_dim.values():
-        rhos = np.stack([pairs[n][0] for n in members]).astype(complex, copy=False)
-        sigmas = np.stack([pairs[n][1] for n in members]).astype(complex, copy=False)
-        for n, value in zip(members, zip(*_powered_distances(kinds, rhos, sigmas))):
-            values[n] = value
-    return values
+    def evaluate(stack):
+        return list(zip(*_powered_distances(kinds, stack[:, 0], stack[:, 1])))
+
+    return linalg.stackwise(evaluate, [np.array(pair, dtype=complex) for pair in pairs])
 
 
 def _trial_blocks(trials):

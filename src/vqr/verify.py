@@ -49,15 +49,6 @@ def _instance(seed, i, max_d_a=3):
     return rho, a
 
 
-def _by_dimension(matrices) -> list[tuple[list[int], np.ndarray]]:
-    """The matrices as one stack per dimension, each with the positions of
-    its members in the input."""
-    groups = {}
-    for n, m in enumerate(matrices):
-        groups.setdefault(m.shape[-1], []).append(n)
-    return [(members, np.stack([matrices[n] for n in members])) for members in groups.values()]
-
-
 def _pinching_group(seed, block):
     """Pinching trace identity Tr(rho f(Phi(sigma))) = Tr(Phi(rho) f(Phi(sigma)))
     for each f, and the Hilbert-Schmidt purity loss
@@ -70,21 +61,18 @@ def _pinching_group(seed, block):
         rhos.append(rho.matrix)
         phis.append(phi_map(rho.matrix, a))
         phi_sigmas.append(phi_map(sigma.matrix, a))
-    f_phi_sigmas = [[None] * len(block) for _ in _PINCHING_FUNCTIONS]
-    norms = [[None] * len(block) for _ in range(3)]  # rho, Phi(rho), rho - Phi(rho)
-    for members, phi_sigma in _by_dimension(phi_sigmas):
-        for out, f in zip(f_phi_sigmas, _PINCHING_FUNCTIONS.values()):
-            for n, value in zip(members, linalg.matrix_function(phi_sigma, f, clip_psd=True)):
-                out[n] = value
-    for members, rho_phi in _by_dimension([np.stack(m) for m in zip(rhos, phis)]):
-        rho, phi = rho_phi[:, 0], rho_phi[:, 1]
-        for out, m in zip(norms, (rho, phi, rho - phi)):
-            for n, value in zip(members, linalg.schatten_norm(m, 2).tolist()):
-                out[n] = value
-    for n in range(len(block)):
+    f_phi_sigmas = [
+        linalg.stackwise(lambda m, f=f: linalg.matrix_function(m, f, clip_psd=True), phi_sigmas)
+        for f in _PINCHING_FUNCTIONS.values()
+    ]
+    norms = [
+        linalg.stackwise(lambda m: linalg.schatten_norm(m, 2).tolist(), ms)
+        for ms in (rhos, phis, [rho - phi for rho, phi in zip(rhos, phis)])
+    ]
+    for n, (rho, phi) in enumerate(zip(rhos, phis)):
         for fname, f_phi_sigma in zip(_PINCHING_FUNCTIONS, f_phi_sigmas):
-            lhs = np.trace(rhos[n] @ f_phi_sigma[n])
-            rhs = np.trace(phis[n] @ f_phi_sigma[n])
+            lhs = np.trace(rho @ f_phi_sigma[n])
+            rhs = np.trace(phi @ f_phi_sigma[n])
             yield f"pinching_trace_identity_{fname}", abs(complex(lhs - rhs))
         norm_rho, norm_phi, norm_diff = (norm[n] for norm in norms)
         yield "hs_purity_loss_identity", abs(norm_rho**2 - norm_phi**2 - norm_diff**2)

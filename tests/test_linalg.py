@@ -255,6 +255,11 @@ class TestStackedCore:
                 assert np.array_equal(v.view(float), loop_v.view(float)), k
                 assert np.array_equal(np.signbit(v.view(float)), np.signbit(loop_v.view(float))), k
 
+    def test_stackwise_keeps_input_order_across_shapes(self):
+        matrices = [random_psd(2 + (k % 3), 4600 + k) for k in range(7)]
+        norms = linalg.stackwise(lambda stack: linalg.schatten_norm(stack, 3.0).tolist(), matrices)
+        assert norms == [linalg.schatten_norm(m, 3.0) for m in matrices]
+
     def test_one_matrix_keeps_its_types(self):
         m = random_psd(3, 17)
         w, v = linalg.hermitian_eig(m)
