@@ -195,22 +195,25 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
+def clip_roundoff(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues with those in [-TAU_PSD, 0) set to zero; anything more
+    negative is a DomainError."""
+    if w.min(initial=0.0) < -TAU_PSD:
+        raise DomainError(f"eigenvalue {w.min():.3e} below -{TAU_PSD:.1e}; refusing to clip")
+    return np.where(w < 0.0, 0.0, w)
+
+
 def matrix_function(m, f: Callable, clip_psd: bool = False) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix, or to each member
     of a stack, spectrally.
 
-    Returns V diag(f(lambda)) V^dag.  With clip_psd=True, eigenvalues in
-    [-TAU_PSD, 0) are clipped to zero first and anything more negative is a
-    DomainError; use this for sqrt, log and fractional powers of nominal
-    density matrices.
+    Returns V diag(f(lambda)) V^dag.  With clip_psd=True the eigenvalues
+    go through clip_roundoff first; use this for sqrt, log and fractional
+    powers of nominal density matrices.
     """
     w, v = hermitian_eig(m)
     if clip_psd:
-        if w.min(initial=0.0) < -TAU_PSD:
-            raise DomainError(
-                f"eigenvalue {w.min():.3e} below -{TAU_PSD:.1e}; refusing to clip"
-            )
-        w = np.where(w < 0.0, 0.0, w)
+        w = clip_roundoff(w)
     with np.errstate(invalid="ignore", divide="ignore"):
         try:
             fw = np.asarray(f(w), dtype=float)
@@ -221,6 +224,16 @@ def matrix_function(m, f: Callable, clip_psd: bool = False) -> np.ndarray:
     return (v * fw[..., None, :]) @ _adjoint(v)
 
 
+def floored_power(w, alpha: float) -> np.ndarray:
+    """w ** alpha of clipped eigenvalues, 0 where w is at or below
+    SPECTRAL_FLOOR, or TAU_PSD for the pseudo-power of alpha < 0."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros_like(w)
+    pos = w > (TAU_PSD if alpha < 0 else SPECTRAL_FLOOR)
+    out[pos] = w[pos] ** alpha
+    return out
+
+
 def sqrtm_psd(m) -> np.ndarray:
     """Square root of a PSD Hermitian matrix, or of each member of a stack
     (roundoff negatives clipped, eigenvalues below SPECTRAL_FLOOR treated as
@@ -229,23 +242,9 @@ def sqrtm_psd(m) -> np.ndarray:
 
 
 def powm_psd(m, alpha: float) -> np.ndarray:
-    """PSD matrix power with the 0**alpha := 0 convention, on one matrix or
-    each member of a stack.
-
-    Eigenvalues below SPECTRAL_FLOOR count as zeros.  For alpha < 0 this
-    is the pseudo-power: the kernel (below TAU_PSD) stays zero and the
-    power acts on the support only.
-    """
-    floor = TAU_PSD if alpha < 0 else SPECTRAL_FLOOR
-
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > floor
-        out[pos] = w[pos] ** alpha
-        return out
-
-    return matrix_function(m, f, clip_psd=True)
+    """PSD matrix power floored_power(lambda, alpha), on one matrix or each
+    member of a stack."""
+    return matrix_function(m, lambda w: floored_power(w, alpha), clip_psd=True)
 
 
 def schatten_norm(m, p: float):

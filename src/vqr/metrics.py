@@ -6,9 +6,10 @@ Neumann entropy and relative entropy, Renyi and sandwiched Renyi
 divergences, and empirical checks of the distance properties (positive
 definiteness, unitary invariance, joint convexity, contractivity).
 
-All entropic quantities use the natural logarithm (nats).  Infinite
-divergences (support violations) are returned as float('inf'), never
-raised.
+All entropic quantities use the natural logarithm (nats).  Every divergence
+comes from one spectral core, _divergences, on one pair or on two stacks.
+Infinite divergences (support violations) are returned as float('inf');
+an operand with an eigenvalue below -TAU_PSD raises DomainError.
 """
 
 from __future__ import annotations
@@ -275,12 +276,12 @@ def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
     return [linalg.scalar_power(natives[k.family, k.p], _exponent(k)).tolist() for k in kinds]
 
 
-def _stacked_distances(kinds, pairs) -> list[tuple]:
-    """_powered_distances of each (rho, sigma) pair, evaluated as one stack
-    per matrix dimension: per pair, in input order, a tuple of one value per
-    kind."""
+def _stacked(values, kinds, pairs) -> list[tuple]:
+    """values(kinds, r, s), _powered_distances or _divergences, of each
+    (rho, sigma) pair, evaluated as one stack per matrix dimension: per
+    pair, in input order, a tuple of one value per kind."""
     def evaluate(stack):
-        return list(zip(*_powered_distances(kinds, stack[:, 0], stack[:, 1])))
+        return list(zip(*values(kinds, stack[:, 0], stack[:, 1])))
 
     return linalg.stackwise(evaluate, [np.array(pair, dtype=complex) for pair in pairs])
 
@@ -298,16 +299,11 @@ def _trial_blocks(trials):
 # --------------------------------------------------------------------------
 
 
-def _clip_roundoff(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues in [-TAU_PSD, 0) set to zero."""
-    return np.where((w < 0.0) & (w >= -linalg.TAU_PSD), 0.0, w)
-
-
 def _entropies(m: np.ndarray) -> np.ndarray:
     """The von Neumann entropy of each member of a stack (0-d for one
     matrix), from one stacked eigvalsh.  Each member's masked sum stays its
     own: a masked reduction over the stack would sum in another order."""
-    w = _clip_roundoff(np.linalg.eigvalsh(linalg.require_hermitian(m)))
+    w = linalg.clip_roundoff(np.linalg.eigvalsh(linalg.require_hermitian(m)))
     rows = w.reshape(-1, w.shape[-1])
     values = [-(pos * np.log(pos)).sum() for pos in (row[row > 0.0] for row in rows)]
     return np.array(values).reshape(w.shape[:-1])
@@ -318,18 +314,57 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropies(_mat(rho)))
 
 
-def _sigma_spectrum(r: np.ndarray, s: np.ndarray, check_support: bool):
-    """sigma's clipped eigenvalues and its eigenvectors, shared by the
-    divergences.  With check_support, None instead when rho has mass above
-    SUPPORT_TOL on sigma's kernel (eigenvalues <= KERNEL_TOL), where the
-    divergence is infinite."""
-    w_s, v_s = np.linalg.eigh(linalg.require_hermitian(s))
-    w_s = _clip_roundoff(w_s)
-    if check_support:
-        kernel = v_s[:, w_s <= KERNEL_TOL]
-        if float(np.real(np.trace(kernel.conj().T @ r @ kernel))) > SUPPORT_TOL:
-            return None
-    return w_s, v_s
+def _divergences(kinds, r: np.ndarray, s: np.ndarray) -> list:
+    """Each divergence kind between the complex matrices r and s, or
+    between the members of two (N, d, d) stacks: a float per kind for one
+    pair, a list of N floats per kind for stacks.
+
+    Every kind reads one eigendecomposition of each operand, with its
+    roundoff clipped, rho = U diag(w_r) U^dag and sigma = V diag(w_s) V^dag,
+    and the amplitudes A = V^dag U, whose squares |A|^2 map w_r to rho's
+    weights <v_j|rho|v_j> on sigma's eigenvectors.  Powers are
+    linalg.floored_power's.
+    - vn: sum w_r ln w_r - sum_j <v_j|rho|v_j> ln w_s,j;
+    - renyi: Tr rho^a sigma^(1-a) = (w_s^(1-a))^T |A|^2 w_r^a;
+    - srenyi: Tr (sigma^e rho sigma^e)^a = sum_i s_i^(2a), e = (1-a)/(2a),
+      over the singular values s of diag(w_s^e) A diag(sqrt w_r), which are
+      those of sigma^e sqrt(rho).  An eigenvalue of sigma^e rho sigma^e near
+      1e-15 is a singular value near 3e-8, which the SVD resolves; its a-th
+      power (about 3e-5 at a = 0.3) would be lost below an eigenvalue floor.
+    A Renyi quasi-entropy t gives ln[t / Tr rho] / (a - 1).  vn and the
+    orders a > 1 are infinite where rho has weight above SUPPORT_TOL on
+    sigma's kernel (eigenvalues <= KERNEL_TOL).
+    """
+    (w_r, u_r), (w_s, v_s) = linalg.hermitian_eig(r), linalg.hermitian_eig(s)
+    w_r, w_s = linalg.clip_roundoff(w_r), linalg.clip_roundoff(w_s)
+    amplitudes = v_s.conj().swapaxes(-1, -2) @ u_r
+    overlap = np.abs(amplitudes) ** 2
+    kernel = w_s <= KERNEL_TOL
+    weights = (overlap * w_r[..., None, :]).sum(axis=-1)
+    unsupported = np.where(kernel, weights, 0.0).sum(axis=-1) > SUPPORT_TOL
+    trace = np.real(np.trace(r, axis1=-2, axis2=-1))
+    values = []
+    for kind in kinds:
+        alpha = kind.alpha
+        if kind.family == "vn":
+            own = w_r * np.log(w_r, out=np.zeros_like(w_r), where=w_r > 0.0)
+            cross = weights * np.log(w_s, out=np.zeros_like(w_s), where=~kernel)
+            value = own.sum(axis=-1) - cross.sum(axis=-1)
+        elif kind.family == "renyi":
+            powered = (overlap * linalg.floored_power(w_r, alpha)[..., None, :]).sum(axis=-1)
+            quasi = (linalg.floored_power(w_s, 1.0 - alpha) * powered).sum(axis=-1)
+        else:
+            e = (1.0 - alpha) / (2.0 * alpha)
+            sandwich = (linalg.floored_power(w_s, e)[..., :, None] * amplitudes
+                        * linalg.floored_power(w_r, 0.5)[..., None, :])
+            quasi = (np.linalg.svd(sandwich, compute_uv=False) ** (2.0 * alpha)).sum(axis=-1)
+        if kind.family != "vn":
+            with np.errstate(divide="ignore"):  # t = 0 gives +inf below 1, -inf above
+                value = np.log(quasi / trace) / (alpha - 1.0)
+        if kind.family == "vn" or alpha > 1:
+            value = np.where(unsupported, np.inf, value)
+        values.append(value.tolist())
+    return values
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -337,55 +372,18 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns float('inf') when rho has support on the kernel of sigma.
     """
-    r, s = _pair(rho, sigma)
-    spectrum = _sigma_spectrum(r, s, check_support=True)
-    if spectrum is None:
-        return float("inf")
-    w_s, v_s = spectrum
-    w_r, v_r = np.linalg.eigh(linalg.require_hermitian(r))
-    w_r = _clip_roundoff(w_r)
-    overlap = np.abs(v_r.conj().T @ v_s) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    pos = w_r > 0.0
-    keep = w_s > KERNEL_TOL
-    cross = float(w_r[pos] @ (overlap[np.ix_(pos, keep)] @ np.log(w_s[keep])))
-    own = float((w_r[pos] * np.log(w_r[pos])).sum())
-    return own - cross
-
-
-def _renyi(r: np.ndarray, alpha: float, t: float) -> float:
-    """ln[t / Tr rho] / (alpha - 1) for the quasi-entropy t of order alpha."""
-    if t <= 0.0:
-        return float("inf") if alpha < 1 else float("-inf")
-    return float(np.log(t / float(np.real(np.trace(r)))) / (alpha - 1.0))
+    return _divergences([VON_NEUMANN], *_pair(rho, sigma))[0]
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Petz-Renyi divergence ln[Tr(rho^a sigma^(1-a)) / Tr rho] / (a - 1)."""
-    alpha = _check_alpha(alpha)
-    r, s = _pair(rho, sigma)
-    if _sigma_spectrum(r, s, check_support=alpha > 1) is None:
-        return float("inf")
-    t = np.trace(linalg.powm_psd(r, alpha) @ linalg.powm_psd(s, 1.0 - alpha))
-    return _renyi(r, alpha, float(np.real(t)))
+    return _divergences([renyi(alpha)], *_pair(rho, sigma))[0]
 
 
 def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence
-    ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a).
-
-    The trace is sum_i s_i^(2a) over the singular values s of
-    sigma^e sqrt(rho), whose squares are the eigenvalues of
-    sigma^e rho sigma^e.  An eigenvalue near 1e-15 is a singular value
-    near 3e-8, which the SVD resolves; its a-th power (about 3e-5 at
-    a = 0.3) would be lost below an eigenvalue floor.
-    """
-    alpha = _check_alpha(alpha)
-    r, s = _pair(rho, sigma)
-    if _sigma_spectrum(r, s, check_support=alpha > 1) is None:
-        return float("inf")
-    s_pow = linalg.powm_psd(s, (1.0 - alpha) / (2.0 * alpha))
-    singular = np.linalg.svd(s_pow @ linalg.sqrtm_psd(r), compute_uv=False)
-    return _renyi(r, alpha, float((singular ** (2.0 * alpha)).sum()))
+    ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a)."""
+    return _divergences([sandwiched_renyi(alpha)], *_pair(rho, sigma))[0]
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +539,8 @@ def _property_reports(kinds, trials: int, seed: int) -> list[list[PropertyReport
         tallies = [[0, 0.0, None] for _ in kinds]  # violations, worst, example
         for block in _trial_blocks(range(trials)):
             draws = [draw(seed + i, i) for i in block]
-            values = iter(_stacked_distances(columns, [pair for pairs, _ in draws for pair in pairs]))
+            drawn = [pair for pairs, _ in draws for pair in pairs]
+            values = iter(_stacked(_powered_distances, columns, drawn))
             for i, (pairs, extra) in zip(block, draws):
                 s = seed + i
                 hit = [False] * n

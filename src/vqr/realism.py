@@ -114,17 +114,13 @@ def _conditional_informations(omega: DensityMatrix, split: int, kinds) -> list[f
     reference = np.kron(omega_s, np.eye(d_e, dtype=complex) / d_e)
     values = dict(zip(geometric, metrics._powered_distances(geometric, omega.matrix, reference)))
     if VON_NEUMANN in kinds:
-        values[VON_NEUMANN] = (
-            float(np.log(d_e))
-            - metrics.von_neumann_entropy(omega)
-            + metrics.von_neumann_entropy(omega_s)
-        )
+        values[VON_NEUMANN] = metrics._divergences([VON_NEUMANN], omega.matrix, reference)[0]
     return [values[kind] for kind in kinds]
 
 
 def conditional_information_entropic(omega: DensityMatrix, split: int) -> float:
-    """I(E|S) = ln d_E - S(Omega) + S(Omega_S), the divergence between
-    Omega and Omega_S (x) 1/d_E.
+    """I(E|S) = S(Omega || Omega_S (x) 1/d_E), which equals
+    ln d_E - S(Omega) + S(Omega_S).
 
     Subsystems before `split` form S; the rest form E.  The value lies in
     [0, ln(d_E d_S)].

@@ -89,39 +89,44 @@ def _closed_form_group(seed, block):
             yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
 
 
-def _renyi_group(seed, block):
-    """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2);
-    the distances of the block come from one stacked pass per dimension."""
+def _divergence_pairs(seed, block, deficient):
+    """Trial i's (rho, sigma) at dimension d = 2 + i % 3; when deficient,
+    sigma has rank d - 1 on odd trials (but at least 1)."""
     pairs = []
     for i in block:
         d = 2 + (i % 3)
-        rho = random_density(d, d, seed + i)
-        sigma = random_density(d, max(1, d - (i % 2)), seed + i + 104729)
-        pairs.append((rho.matrix, sigma.matrix))
-    distances = metrics._stacked_distances([metrics.BURES, metrics.HELLINGER], pairs)
-    for (rho, sigma), squares in zip(pairs, distances):
+        rank = max(1, d - (i % 2)) if deficient else d
+        pairs.append((random_density(d, d, seed + i).matrix,
+                      random_density(d, rank, seed + i + 104729).matrix))
+    return pairs
+
+
+def _renyi_group(seed, block):
+    """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2),
+    from one stacked pass of distances and one of divergences."""
+    pairs = _divergence_pairs(seed, block, deficient=True)
+    distances = metrics._stacked(
+        metrics._powered_distances, [metrics.BURES, metrics.HELLINGER], pairs)
+    divergences = metrics._stacked(
+        metrics._divergences, [metrics.sandwiched_renyi(0.5), metrics.renyi(0.5)], pairs)
+    for squares, halves in zip(distances, divergences):
         for name, distance_sq, div in zip(
-            ("bures_from_sandwiched_renyi_half", "hellinger_from_renyi_half"),
-            squares,
-            (metrics.sandwiched_renyi_divergence, metrics.renyi_divergence),
+            ("bures_from_sandwiched_renyi_half", "hellinger_from_renyi_half"), squares, halves
         ):
-            rhs = 2.0 - 2.0 * np.exp(-0.5 * div(rho, sigma, 0.5))
-            yield name, abs(distance_sq - rhs)
+            yield name, abs(distance_sq - (2.0 - 2.0 * np.exp(-0.5 * div)))
 
 
 def _limit_group(seed, block):
-    """Both Renyi divergences tend to the relative entropy as alpha -> 1."""
-    for i in block:
-        d = 2 + (i % 3)
-        rho = random_density(d, d, seed + i)
-        sigma = random_density(d, d, seed + i + 104729)
-        reference = metrics.relative_entropy(rho, sigma)
-        for name, div in (
-            ("renyi_limit_to_relative_entropy", metrics.renyi_divergence),
-            ("sandwiched_limit_to_relative_entropy", metrics.sandwiched_renyi_divergence),
-        ):
-            for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
-                yield name, abs(div(rho, sigma, alpha) - reference)
+    """Both Renyi divergences tend to the relative entropy as alpha -> 1;
+    the relative entropy and the four orders near 1 come from one pass."""
+    pairs = _divergence_pairs(seed, block, deficient=False)
+    orders = [make(alpha) for make in (metrics.renyi, metrics.sandwiched_renyi)
+              for alpha in (1.0 - 1e-4, 1.0 + 1e-4)]
+    for reference, *values in metrics._stacked(
+            metrics._divergences, [metrics.VON_NEUMANN, *orders], pairs):
+        for kind, value in zip(orders, values):
+            name = "renyi" if kind.family == "renyi" else "sandwiched"
+            yield f"{name}_limit_to_relative_entropy", abs(value - reference)
 
 
 def _dilation_group(seed, block):

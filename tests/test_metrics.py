@@ -3,7 +3,7 @@ import pytest
 
 from vqr import metrics
 from vqr.channels import phi_map
-from vqr.errors import DimensionMismatch, InvalidAlpha, InvalidOrder
+from vqr.errors import DimensionMismatch, DomainError, InvalidAlpha, InvalidOrder
 from vqr.metrics import (
     BURES,
     HELLINGER,
@@ -332,6 +332,92 @@ class TestRenyi:
         assert abs(product - alone) < 1e-9
 
 
+class TestDivergenceCore:
+    """Every divergence comes from metrics._divergences: one clipped
+    eigendecomposition of each operand, and their amplitudes."""
+
+    KINDS = [metrics.VON_NEUMANN] + [
+        make(a)
+        for make in (metrics.renyi, metrics.sandwiched_renyi)
+        for a in (0.3, 0.5, 1 - 1e-4, 1 + 1e-4, 2.0)
+    ]
+
+    @staticmethod
+    def one_pair(kind, rho, sigma):
+        if kind.family == "vn":
+            return relative_entropy(rho, sigma)
+        if kind.family == "renyi":
+            return renyi_divergence(rho, sigma, kind.alpha)
+        return sandwiched_renyi_divergence(rho, sigma, kind.alpha)
+
+    def test_stack_equals_one_pair_calls(self):
+        # _random_pair's sigma has rank d - 1, so vn and alpha > 1 are
+        # infinite; the full-rank pairs give finite values of every kind.
+        for d in (2, 3, 4, 6):
+            pairs = [metrics._random_pair(900 + 10 * d + k, d) for k in range(3)]
+            pairs += [
+                (random_density(d, d, 950 + 10 * d + k).matrix,
+                 random_density(d, d, 980 + 10 * d + k).matrix)
+                for k in range(3)
+            ]
+            pairs.append((pairs[0][0], pairs[0][0]))
+            stacked = metrics._stacked(metrics._divergences, self.KINDS, pairs)
+            assert stacked == [
+                tuple(self.one_pair(kind, r, s) for kind in self.KINDS) for r, s in pairs
+            ]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_agrees_with_dense_scipy_references(self, d):
+        from scipy.linalg import fractional_matrix_power, logm, sqrtm
+
+        def power(m, e):
+            return np.asarray(fractional_matrix_power(m, e), dtype=complex)
+
+        def reference(kind, rho, sigma):
+            if kind.family == "vn":
+                return np.trace(rho @ (logm(rho) - logm(sigma))).real
+            a = kind.alpha
+            if kind.family == "renyi":
+                t = np.trace(power(rho, a) @ power(sigma, 1 - a))
+            else:
+                root = sqrtm(rho)
+                t = np.trace(power(root @ power(sigma, (1 - a) / a) @ root, a))
+            return np.log(t.real) / (a - 1)
+
+        for k in range(4):
+            rho = random_density(d, d, 4100 + 10 * d + k).matrix
+            sigma = random_density(d, d, 4200 + 10 * d + k).matrix
+            for kind in self.KINDS:
+                assert abs(self.one_pair(kind, rho, sigma) - reference(kind, rho, sigma)) < 1e-10
+
+    def test_rank_deficient_sigma_is_infinite_only_for_vn_and_alpha_above_one(self):
+        for d in (2, 3, 4, 6):
+            rho = random_density(d, d, 4300 + d).matrix
+            sigma = random_density(d, d - 1, 4400 + d).matrix
+            for kind in self.KINDS:
+                value = self.one_pair(kind, rho, sigma)
+                if kind.family == "vn" or kind.alpha > 1:
+                    assert value == float("inf")
+                else:
+                    assert np.isfinite(value)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("family", ["vn", "renyi", "srenyi"])
+    def test_non_psd_operand_raises(self, family, side):
+        # At the parent a non-PSD rho gave a finite relative entropy
+        # (1.0506 here), and a non-PSD sigma an infinite one.
+        operands = [np.diag([1.2, -0.2]), np.eye(2) / 2]
+        rho, sigma = operands if side == 0 else operands[::-1]
+        for kind in self.KINDS:
+            if kind.family == family:
+                with pytest.raises(DomainError):
+                    self.one_pair(kind, rho, sigma)
+
+    def test_non_psd_entropy_raises(self):
+        with pytest.raises(DomainError):
+            von_neumann_entropy(np.diag([1.2, -0.2]))
+
+
 class TestPropertyChecks:
     def test_trace_all_pass(self):
         reports = check_distance_properties(TRACE, 200, seed=42)
@@ -376,7 +462,7 @@ class TestStackedEvaluation:
         for d in (2, 3, 4, 6):
             pairs = [metrics._random_pair(700 + 10 * d + k, d) for k in range(4)]
             pairs.append((pairs[0][0], pairs[0][0]))
-            stacked = metrics._stacked_distances(kinds, pairs)
+            stacked = metrics._stacked(metrics._powered_distances, kinds, pairs)
             assert stacked == [tuple(metrics._powered_distances(kinds, r, s)) for r, s in pairs]
             assert stacked == [
                 tuple(metrics.powered_distance(k, r, s) for k in kinds) for r, s in pairs
