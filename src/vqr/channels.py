@@ -5,7 +5,7 @@ the reality predicate, and the shift-register measurement dilation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,8 @@ class DilationSetup:
 
     Tracing the environment out of U (rho (x) |e0><e0|) U^dag gives the
     non-selective measurement of the observable, and U leaves
-    Phi_A(rho) (x) 1/d_E invariant.
+    Phi_A(rho) (x) 1/d_E invariant.  residuals holds the two contract
+    residuals of dilation_residuals, computed once at construction.
     """
 
     system_state: DensityMatrix
@@ -96,6 +97,10 @@ class DilationSetup:
     environment_dim: int
     unitary: np.ndarray
     env_ground: int = 0
+    residuals: tuple[float, float] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", dilation_residuals(self))
 
 
 def _shift_matrix(d: int) -> np.ndarray:
@@ -108,18 +113,13 @@ def build_dilation(
 ) -> DilationSetup:
     """Construct the shift-register dilation U = sum_a P_a (x) X^a.
 
-    Requires rank-1 projectors on the measured subsystem, so the number of
-    outcomes equals both the subsystem dimension and the environment
-    dimension.  The returned unitary is verified against the reduction and
-    invariance contracts.
+    The environment dimension d_E is the number of outcomes, and X is the
+    cyclic shift on it.  U is unitary for any complete set of orthogonal
+    projectors, rank-1 or not: U^dag U = sum_a P_a (x) 1.  The returned
+    unitary is verified against the reduction and invariance contracts.
     """
     _require_same_space(rho, a)
     d_e = a.outcomes
-    if d_e != a.subsystem_dim:
-        raise DimensionMismatch(
-            f"dilation needs rank-1 projectors: {d_e} outcomes on a "
-            f"{a.subsystem_dim}-dim subsystem"
-        )
     if not 0 <= env_ground < d_e:
         raise OutOfRange(f"env_ground must be in [0, {d_e}), got {env_ground}")
 
@@ -135,7 +135,7 @@ def build_dilation(
         raise DimensionMismatch("constructed dilation is not unitary")
 
     setup = DilationSetup(rho, a, d_e, _frozen(u), env_ground)
-    reduction, invariance = dilation_residuals(setup)
+    reduction, invariance = setup.residuals
     if reduction > DILATION_TOL or invariance > DILATION_TOL:
         raise DimensionMismatch(
             f"dilation contract violated: reduction {reduction:.3e}, "

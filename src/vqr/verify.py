@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, metrics
-from .channels import build_dilation, dilation_residuals, phi_map
+from .channels import build_dilation, phi_map
 from .errors import OutOfRange
 from .realism import _deltas, _dilated_deltas
 from .states import random_density, random_observable
@@ -134,7 +134,7 @@ def _dilation_group(seed, block):
     instance: at 48 x 48 it is bound by the products, not by dispatch."""
     for i in block:
         rho, a = _instance(seed + i, i, max_d_a=4)
-        reduction, invariance = dilation_residuals(build_dilation(rho, a))
+        reduction, invariance = build_dilation(rho, a).residuals
         yield "dilation_reduction", reduction
         yield "dilation_invariance", invariance
 

@@ -17,12 +17,15 @@ from vqr.metrics import (
     HELLINGER,
     HILBERT_SCHMIDT,
     TRACE,
+    parse_kind,
     powered_distance,
 )
+from vqr.realism import _deltas, _dilated_deltas
 from vqr.states import (
     DensityMatrix,
     Observable,
     computational_observable,
+    haar_unitary,
     max_entangled,
     random_density,
     random_observable,
@@ -275,13 +278,23 @@ class TestDilation:
         u = setup.unitary
         assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
 
-    def test_rejects_block_projectors(self):
-        p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        p_block = np.diag([0.0, 1.0, 1.0]).astype(complex)
-        obs = Observable((p0, p_block), (0.0, 1.0), 0, (3,))
-        rho = random_density(3, 3, 9)
-        with pytest.raises(DimensionMismatch):
-            build_dilation(rho, obs)
+    def test_dilates_block_projectors(self):
+        # U = sum_a P_a (x) X^a is unitary for any complete set of
+        # projectors, with d_E the outcome count: here Haar-rotated ranks
+        # [1, 1, 2] on a 4-dim subsystem, so d_E = 3.
+        kinds = [parse_kind(t) for t in ("tr", "hs", "bu", "he", "vn", "lp1.5", "lp3")]
+        for i in range(40):
+            u = haar_unitary(4, 9100 + i)
+            ranks = (np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0]), np.diag([0, 0, 1.0, 1.0]))
+            projs = tuple(u @ p @ u.conj().T for p in ranks)
+            obs = Observable(projs, (-1.0, 0.0, 1.0), 0, (4, 2))
+            rho = random_density(8, 8 - (i % 2), 9200 + i, dims=(4, 2))
+            setup = build_dilation(rho, obs)
+            assert setup.environment_dim == 3
+            assert max(setup.residuals) < 1e-12
+            closed = _deltas([(rho, obs)], kinds)[0]
+            for kind, c, full in zip(kinds, closed, _dilated_deltas(rho, obs, kinds)):
+                assert abs(c - full) < 1e-12, kind.token()
 
     def test_block_projectors_still_supported_by_phi(self):
         p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
