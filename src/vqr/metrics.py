@@ -359,8 +359,8 @@ def _divergences(kinds, r: np.ndarray, s: np.ndarray) -> list:
                         * linalg.floored_power(w_r, 0.5)[..., None, :])
             quasi = (np.linalg.svd(sandwich, compute_uv=False) ** (2.0 * alpha)).sum(axis=-1)
         if kind.family != "vn":
-            with np.errstate(divide="ignore"):  # t = 0 gives +inf below 1, -inf above
-                value = np.log(quasi / trace) / (alpha - 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):  # t = 0: +inf or -inf
+                value = np.where(quasi > 0.0, np.log(quasi / trace), -np.inf) / (alpha - 1.0)
         if kind.family == "vn" or alpha > 1:
             value = np.where(unsupported, np.inf, value)
         values.append(value.tolist())

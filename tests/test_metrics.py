@@ -400,6 +400,8 @@ class TestDivergenceCore:
                     assert value == float("inf")
                 else:
                     assert np.isfinite(value)
+        for kind in self.KINDS:  # orthogonal supports: infinite at every order
+            assert self.one_pair(kind, ZERO, ONE) == float("inf")
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("family", ["vn", "renyi", "srenyi"])
