@@ -28,6 +28,7 @@ from .states import (
     DensityMatrix,
     random_density,
     random_observable,
+    random_observables,
     spin_observable,
     werner,
 )
@@ -91,12 +92,16 @@ _SUM_TOL = 1e-9
 # --------------------------------------------------------------------------
 
 
-def _bipartite_instance(seed, i):
-    dims = [(2, 2), (2, 3), (3, 2)][i % 3]
-    d = dims[0] * dims[1]
-    rho = random_density(d, d - (i % 2), seed, dims=dims)
-    a = random_observable(dims[0], seed + 50021, subsystem=0, dims=dims)
-    return rho, a
+def _bipartite_instances(seed, block):
+    """Trial i's (rho, A) for each i of the block, drawn at seed + i, with
+    the block's observables drawn in one call."""
+    dims = [[(2, 2), (2, 3), (3, 2)][i % 3] for i in block]
+    observables = random_observables(
+        (d[0], seed + i + 50021, 0, d) for i, d in zip(block, dims))
+    return [
+        (random_density(math.prod(d), math.prod(d) - (i % 2), seed + i, dims=d), a)
+        for i, d, a in zip(block, dims, observables)
+    ]
 
 
 def _monitoring_chain(rho, a, label, probe_seed):
@@ -125,10 +130,10 @@ def _axiom1_cases(seed, trials):
     obs = spin_observable(0.0, 0.0, subsystem=0, dims=(2, 2))
     for eps in (0.2, 0.05, 0.1, 0.15, 0.25, 0.3):
         yield -1, _monitoring_chain(werner(eps), obs, f"werner({eps:g}) with sigma_z", seed)
-    for i in range(trials):
-        s = seed + i
-        rho, a = _bipartite_instance(s, i)
-        yield s, _monitoring_chain(rho, a, f"random bipartite (trial {i})", s)
+    for block in metrics._trial_blocks(range(trials)):
+        for i, (rho, a) in zip(block, _bipartite_instances(seed, block)):
+            s = seed + i
+            yield s, _monitoring_chain(rho, a, f"random bipartite (trial {i})", s)
 
 
 def _bystander(label, small, big, two_sided=False):
@@ -154,26 +159,28 @@ def _axiom2a_cases(seed, trials):
     yield -1, _bystander(label, (rho, a_small), big_pair)
 
     dimsets = [(2, 2, 2), (3, 2, 2), (2, 3, 2)]
-    for i in range(trials):
-        s = seed + i
-        dims = dimsets[i % 3]
-        d = math.prod(dims)
-        rho = random_density(d, d - (i % 2), s, dims=dims)
-        a = random_observable(dims[0], s + 50021, subsystem=0, dims=dims)
-        label = f"random tripartite state, dims {dims} (trial {i})"
-        small = (rho.reduced((0, 1)), a.scoped(dims[:2], 0))
-        yield s, _bystander(label, small, (rho, a))
+    for block in metrics._trial_blocks(range(trials)):
+        observables = random_observables(
+            (dimsets[i % 3][0], seed + i + 50021, 0, dimsets[i % 3]) for i in block)
+        for i, a in zip(block, observables):
+            s = seed + i
+            dims = dimsets[i % 3]
+            d = math.prod(dims)
+            rho = random_density(d, d - (i % 2), s, dims=dims)
+            label = f"random tripartite state, dims {dims} (trial {i})"
+            small = (rho.reduced((0, 1)), a.scoped(dims[:2], 0))
+            yield s, _bystander(label, small, (rho, a))
 
 
 def _axiom2b_cases(seed, trials):
-    for i in range(trials):
-        s = seed + i
-        rho, a = _bipartite_instance(s, i)
-        sigma = random_density(2, 2, s + 60013)
-        big = DensityMatrix(np.kron(rho.matrix, sigma.matrix), rho.dims + (2,))
-        a_big = a.scoped(rho.dims + (2,), a.subsystem)
-        label = f"attach uncorrelated mixed qubit (trial {i})"
-        yield s, _bystander(label, (rho, a), (big, a_big), two_sided=True)
+    for block in metrics._trial_blocks(range(trials)):
+        for i, (rho, a) in zip(block, _bipartite_instances(seed, block)):
+            s = seed + i
+            sigma = random_density(2, 2, s + 60013)
+            big = DensityMatrix(np.kron(rho.matrix, sigma.matrix), rho.dims + (2,))
+            a_big = a.scoped(rho.dims + (2,), a.subsystem)
+            label = f"attach uncorrelated mixed qubit (trial {i})"
+            yield s, _bystander(label, (rho, a), (big, a_big), two_sided=True)
 
 
 def _forbidden_saturation(label, rho, x, y):
@@ -224,14 +231,15 @@ def _mixing(label, probs, parts, a):
 
 
 def _axiom4_cases(seed, trials):
-    for i in range(trials):
-        s = seed + i
-        rng = np.random.default_rng(s + 80021)
-        n = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(n))
-        parts = [random_density(4, 4, s + 90001 + j, dims=(2, 2)) for j in range(n)]
-        a = random_observable(2, s + 90500, subsystem=0, dims=(2, 2))
-        yield s, _mixing(f"ensemble of {n} random states (trial {i})", probs, parts, a)
+    for block in metrics._trial_blocks(range(trials)):
+        observables = random_observables((2, seed + i + 90500, 0, (2, 2)) for i in block)
+        for i, a in zip(block, observables):
+            s = seed + i
+            rng = np.random.default_rng(s + 80021)
+            n = int(rng.integers(2, 5))
+            probs = rng.dirichlet(np.ones(n))
+            parts = [random_density(4, 4, s + 90001 + j, dims=(2, 2)) for j in range(n)]
+            yield s, _mixing(f"ensemble of {n} random states (trial {i})", probs, parts, a)
 
 
 _AXIOM_CASES = {

@@ -249,13 +249,20 @@ def powm_psd(m, alpha: float) -> np.ndarray:
 
 def schatten_norm(m, p: float):
     """Schatten p-norm (Tr |X|^p)^(1/p) for finite p >= 1, via singular
-    values: a float for one matrix, an array of them for a stack."""
+    values: a float for one matrix, an array of them for a stack.  The
+    order is checked before the SVD."""
     if not 1 <= p < math.inf:
         raise InvalidOrder(f"Schatten order must be a finite p >= 1, got {p}")
     arr = as_stack(m)
-    s = np.linalg.svd(arr, compute_uv=False)
-    norms = s.sum(axis=-1) if p == 1 else scalar_power((s**p).sum(axis=-1), 1.0 / p)
+    norms = schatten_from_singular_values(np.linalg.svd(arr, compute_uv=False), p)
     return float(norms) if arr.ndim == 2 else norms
+
+
+def schatten_from_singular_values(s: np.ndarray, p: float) -> np.ndarray:
+    """The Schatten p-norm of each matrix whose singular values are the
+    last axis of s, so one SVD serves every order.  p is not checked here:
+    schatten_norm checks it, and DistanceKind checks every kind's order."""
+    return s.sum(axis=-1) if p == 1 else scalar_power((s**p).sum(axis=-1), 1.0 / p)
 
 
 def kron(a, b) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
 from .channels import phi_map
-from .states import DensityMatrix, haar_unitary, random_density, random_observable
+from .states import DensityMatrix, haar_unitary, random_density, random_observables
 
 # Eigenvalues at or below this are treated as the kernel in support checks.
 KERNEL_TOL = 1e-12
@@ -261,9 +261,10 @@ def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
     """powered_distance of each kind between the complex matrices r and s,
     or between the members of two (N, d, d) stacks: a float per kind for one
     pair, a list of N floats per kind for stacks.  Each native distance is
-    computed once, Bures and Hellinger from one root product, and raised to
-    each exponent."""
+    computed once, the Schatten orders from one SVD of s - r and Bures and
+    Hellinger from one root product, and raised to each exponent."""
     root = _root_product(r, s) if any(k.family in ("bu", "he") for k in kinds) else None
+    singular = None
     natives = {}
     for kind in kinds:
         key = kind.family, kind.p
@@ -272,7 +273,9 @@ def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
         if kind.family in ("bu", "he"):
             natives[key] = _root_distance_sq(kind.family, root)
         else:
-            natives[key] = linalg.schatten_norm(s - r, kind.schatten_p)
+            if singular is None:
+                singular = np.linalg.svd(s - r, compute_uv=False)
+            natives[key] = linalg.schatten_from_singular_values(singular, kind.schatten_p)
     return [linalg.scalar_power(natives[k.family, k.p], _exponent(k)).tolist() for k in kinds]
 
 
@@ -421,13 +424,15 @@ def _random_pair(seed, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rho.matrix, sig.matrix
 
 
-# Each property check is a draw and a finish.  draw(seed, i) gives trial
-# i's (rho, sigma) pairs and what else its finish needs; finish(n, values,
-# extra) turns the values of those pairs (one tuple per pair, of one value
-# per evaluated kind: the n kinds checked, then any the check adds) into
-# the excess of every kind for each of the trial's probes.  A trial
-# violates the property for a kind when one of its excesses is above the
-# check's tolerance.
+# Each property check is a draw and a finish.  draw(seed, block, shared)
+# gives, for each trial i of the block, the trial's (rho, sigma) pairs and
+# what else its finish needs; shared holds trial i's _random_pair, drawn
+# once for every check.  finish(n, values, extra) turns the values of those
+# pairs (one tuple per pair, of one value per _squares_and_trace column:
+# the n kinds checked, their squares, then the trace distance) into the
+# excess of every kind for each of the trial's probes.  A trial violates
+# the property for a kind when one of its excesses is above the check's
+# tolerance.
 
 
 def _squares_and_trace(kinds) -> list:
@@ -435,9 +440,9 @@ def _squares_and_trace(kinds) -> list:
     return [*kinds, *(k.with_power(2.0) for k in kinds), TRACE]
 
 
-def _positive_definiteness_draw(seed, i):
-    rho, sig = _random_pair(seed, 2 + (i % 3))
-    return [(rho, sig), (rho, rho)], None
+def _positive_definiteness_draw(seed, block, shared):
+    for rho, sig in shared:
+        yield [(rho, sig), (rho, rho)], None
 
 
 def _positive_definiteness_finish(n, values, _):
@@ -455,106 +460,114 @@ def _positive_definiteness_finish(n, values, _):
     return [bads]
 
 
-def _unitary_invariance_draw(seed, i):
-    d = 2 + (i % 3)
-    rho, sig = _random_pair(seed, d)
-    u = haar_unitary(d, seed + 13)
-    return [(rho, sig), (u @ rho @ u.conj().T, u @ sig @ u.conj().T)], None
+def _unitary_invariance_draw(seed, block, shared):
+    for i, (rho, sig) in zip(block, shared):
+        u = haar_unitary(len(rho), seed + i + 13)
+        yield [(rho, sig), (u @ rho @ u.conj().T, u @ sig @ u.conj().T)], None
 
 
 def _unitary_invariance_finish(n, values, _):
     before, after = values
-    return [[abs(a - b) for a, b in zip(after, before)]]
+    return [[abs(a - b) for a, b in zip(after[:n], before)]]
 
 
-def _joint_convexity_draw(seed, i):
+def _joint_convexity_draw(seed, block, shared):
     """One random joint-convexity probe and one structured probe mixing the
     pairs (rho, rho) and (rho, sigma) with orthogonal pure states; the
     structured case is where first-power Bures and Hellinger convexity
     breaks."""
-    d = 2 + (i % 3)
-    rho1, sig1 = _random_pair(seed, d)
-    rho2, sig2 = _random_pair(seed + 104729, d)
-    weight = float(np.random.default_rng(seed + 3).uniform(0.1, 0.9))
-    p0, p1 = (np.diag(np.eye(d, dtype=complex)[k]) for k in (0, 1))
-    probes = ((weight, (rho1, sig1), (rho2, sig2)), (0.5, (p0, p0), (p0, p1)))
-    pairs = []
-    for lam, (r1, s1), (r2, s2) in probes:
-        pairs += [(lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2), (r1, s1), (r2, s2)]
-    return pairs, [lam for lam, _, _ in probes]
+    for i, (rho1, sig1) in zip(block, shared):
+        d = len(rho1)
+        rho2, sig2 = _random_pair(seed + i + 104729, d)
+        weight = float(np.random.default_rng(seed + i + 3).uniform(0.1, 0.9))
+        p0, p1 = (np.diag(np.eye(d, dtype=complex)[k]) for k in (0, 1))
+        probes = ((weight, (rho1, sig1), (rho2, sig2)), (0.5, (p0, p0), (p0, p1)))
+        pairs = []
+        for lam, (r1, s1), (r2, s2) in probes:
+            pairs += [(lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2), (r1, s1), (r2, s2)]
+        yield pairs, [lam for lam, _, _ in probes]
 
 
 def _joint_convexity_finish(n, values, lams):
     excesses = []
     for k, lam in enumerate(lams):
         mixed, ones, twos = values[3 * k : 3 * k + 3]
-        excesses.append([m - (lam * a + (1 - lam) * b) for m, a, b in zip(mixed, ones, twos)])
+        excesses.append([m - (lam * a + (1 - lam) * b) for m, a, b in zip(mixed[:n], ones, twos)])
     return excesses
 
 
-def _contractivity_draw(seed, i):
+def _contractivity_draw(seed, block, shared):
     """A random Stinespring channel (a Haar isometry with a dim-2
     environment), a projective-measurement channel, and a bystander-discard
-    probe (where HS/L_p contractivity breaks)."""
-    d = 2 + (i % 3)
-    rho, sig = _random_pair(seed, d)
-    v = haar_unitary(2 * d, seed + 37)[:, :d]  # isometry C^d -> C^d (x) C^2
-    obs = random_observable(d, seed + 101)
-    eye2 = np.eye(2) / 2
-    big = np.kron(rho, eye2), np.kron(sig, eye2)
-    maps = (
-        (lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0), (rho, sig)),
-        (lambda m: phi_map(m, obs), (rho, sig)),
-        (lambda m: linalg.partial_trace(m, (d, 2), 0), big),
-    )
-    return [(rho, sig)] + [(channel(r), channel(g)) for channel, (r, g) in maps] + [big], None
+    probe (where HS/L_p contractivity breaks); the block's observables are
+    drawn in one call."""
+    observables = random_observables(
+        (len(rho), seed + i + 101, 0, None) for i, (rho, _) in zip(block, shared))
+    for i, (rho, sig), obs in zip(block, shared, observables):
+        d = len(rho)
+        v = haar_unitary(2 * d, seed + i + 37)[:, :d]  # isometry C^d -> C^d (x) C^2
+        eye2 = np.eye(2) / 2
+        big = np.kron(rho, eye2), np.kron(sig, eye2)
+        maps = (
+            (lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0), (rho, sig)),
+            (lambda m: phi_map(m, obs), (rho, sig)),
+            (lambda m: linalg.partial_trace(m, (d, 2), 0), big),
+        )
+        yield [(rho, sig)] + [(channel(r), channel(g)) for channel, (r, g) in maps] + [big], None
 
 
 def _contractivity_finish(n, values, _):
     before, *afters, big_before = values
-    return [[a - b for a, b in zip(after, ahead)]
+    return [[a - b for a, b in zip(after[:n], ahead)]
             for after, ahead in zip(afters, (before, before, big_before))]
 
 
-# Property -> (evaluated kinds, draw, finish, tolerance).  A report's
-# example_seed is the trial of the first violation, except for positive
-# definiteness, where it is the trial of the largest one.
+# Property -> (draw, finish, tolerance).  A report's example_seed is the
+# trial of the first violation, except for positive definiteness, where it
+# is the trial of the largest one.
 _PROPERTY_CHECKS = {
-    "positive_definiteness": (
-        _squares_and_trace, _positive_definiteness_draw, _positive_definiteness_finish, 0.0),
-    "unitary_invariance": (list, _unitary_invariance_draw, _unitary_invariance_finish, 1e-9),
-    "joint_convexity": (list, _joint_convexity_draw, _joint_convexity_finish, 1e-10),
-    "contractivity": (list, _contractivity_draw, _contractivity_finish, 1e-10),
+    "positive_definiteness": (_positive_definiteness_draw, _positive_definiteness_finish, 0.0),
+    "unitary_invariance": (_unitary_invariance_draw, _unitary_invariance_finish, 1e-9),
+    "joint_convexity": (_joint_convexity_draw, _joint_convexity_finish, 1e-10),
+    "contractivity": (_contractivity_draw, _contractivity_finish, 1e-10),
 }
 
 
 def _property_reports(kinds, trials: int, seed: int) -> list[list[PropertyReport]]:
-    """check_distance_properties of every kind, each probe drawn once for
-    all of them, a block of trials per stacked evaluation; one list of
-    reports per kind.  Tallies follow the trials in order."""
+    """check_distance_properties of every kind, a block of trials at a time:
+    each trial's (rho, sigma) is drawn once for all four properties, and
+    every distinct pair the block's probes hold is evaluated once, for
+    every kind, in one stacked call.  One list of reports per kind, in
+    _PROPERTY_CHECKS order; tallies follow the trials in order."""
     n = len(kinds)
-    reports = [[] for _ in kinds]
-    for name, (evaluated, draw, finish, tol) in _PROPERTY_CHECKS.items():
-        columns = evaluated(kinds)
-        tallies = [[0, 0.0, None] for _ in kinds]  # violations, worst, example
-        for block in _trial_blocks(range(trials)):
-            draws = [draw(seed + i, i) for i in block]
-            drawn = [pair for pairs, _ in draws for pair in pairs]
-            values = iter(_stacked(_powered_distances, columns, drawn))
-            for i, (pairs, extra) in zip(block, draws):
-                s = seed + i
+    columns = _squares_and_trace(kinds)
+    # violations, worst, example of each kind for each property
+    tallies = {name: [[0, 0.0, None] for _ in kinds] for name in _PROPERTY_CHECKS}
+    for block in _trial_blocks(range(trials)):
+        shared = [_random_pair(seed + i, 2 + (i % 3)) for i in block]
+        draws = {name: list(draw(seed, block, shared))
+                 for name, (draw, _, _) in _PROPERTY_CHECKS.items()}
+        # pairs are the same when they hold the same two arrays
+        distinct = {(id(r), id(s)): (r, s)
+                    for trial_draws in draws.values()
+                    for pairs, _ in trial_draws for r, s in pairs}
+        values = dict(zip(distinct, _stacked(_powered_distances, columns, list(distinct.values()))))
+        for name, (_, finish, tol) in _PROPERTY_CHECKS.items():
+            for i, (pairs, extra) in zip(block, draws[name]):
                 hit = [False] * n
-                for excesses in finish(n, [next(values) for _ in pairs], extra):
-                    for k, (tally, excess) in enumerate(zip(tallies, excesses)):
+                for excesses in finish(n, [values[id(r), id(s)] for r, s in pairs], extra):
+                    for k, (tally, excess) in enumerate(zip(tallies[name], excesses)):
                         if excess > tol:
                             hit[k] = True
                             worst_so_far = name == "positive_definiteness" and excess > tally[1]
                             if tally[2] is None or worst_so_far:
-                                tally[2] = s
+                                tally[2] = seed + i
                         tally[1] = max(tally[1], excess)
-                for tally, violated in zip(tallies, hit):
+                for tally, violated in zip(tallies[name], hit):
                     tally[0] += violated
-        for kind, kind_reports, (violations, worst, example) in zip(kinds, reports, tallies):
+    reports = [[] for _ in kinds]
+    for name, name_tallies in tallies.items():
+        for kind, kind_reports, (violations, worst, example) in zip(kinds, reports, name_tallies):
             kind_reports.append(
                 PropertyReport(kind.label(), name, trials, violations, float(worst), example)
             )

@@ -100,22 +100,25 @@ def irrealism_decomposition(rho: DensityMatrix, a: Observable) -> tuple[float, f
 # --------------------------------------------------------------------------
 
 
-def _conditional_informations(omega: DensityMatrix, split: int, kinds) -> list[float]:
-    """The conditional information of Omega for each kind: the divergence
-    (von Neumann) or the powered distance between Omega and
-    Omega_S (x) 1/d_E, with that reference formed once for all kinds."""
-    if not 1 <= split < len(omega.dims):
-        raise DimensionMismatch(
-            f"split {split} invalid for {len(omega.dims)} subsystems"
-        )
-    d_e = math.prod(omega.dims[split:])
-    omega_s = omega.reduced(range(split)).matrix
+def _conditional_informations(omegas, split: int, kinds) -> list[list[float]]:
+    """The conditional information of each Omega of a list with one dims,
+    for each kind: the divergence (von Neumann) or the powered distance
+    between Omega and Omega_S (x) 1/d_E.  The list is evaluated as one
+    stack, with the references formed once for all kinds; one list of
+    values per Omega, in input order."""
+    dims = omegas[0].dims
+    if not 1 <= split < len(dims):
+        raise DimensionMismatch(f"split {split} invalid for {len(dims)} subsystems")
+    d_e = math.prod(dims[split:])
+    maximally_mixed = np.eye(d_e, dtype=complex) / d_e
+    matrices = np.stack([omega.matrix for omega in omegas])
+    references = np.stack(
+        [np.kron(omega.reduced(range(split)).matrix, maximally_mixed) for omega in omegas])
     geometric = [kind for kind in kinds if not _entropic(kind)]
-    reference = np.kron(omega_s, np.eye(d_e, dtype=complex) / d_e)
-    values = dict(zip(geometric, metrics._powered_distances(geometric, omega.matrix, reference)))
+    values = dict(zip(geometric, metrics._powered_distances(geometric, matrices, references)))
     if VON_NEUMANN in kinds:
-        values[VON_NEUMANN] = metrics._divergences([VON_NEUMANN], omega.matrix, reference)[0]
-    return [values[kind] for kind in kinds]
+        values[VON_NEUMANN] = metrics._divergences([VON_NEUMANN], matrices, references)[0]
+    return [[values[kind][n] for kind in kinds] for n in range(len(omegas))]
 
 
 def conditional_information_entropic(omega: DensityMatrix, split: int) -> float:
@@ -125,14 +128,14 @@ def conditional_information_entropic(omega: DensityMatrix, split: int) -> float:
     Subsystems before `split` form S; the rest form E.  The value lies in
     [0, ln(d_E d_S)].
     """
-    return _conditional_informations(omega, split, [VON_NEUMANN])[0]
+    return _conditional_informations([omega], split, [VON_NEUMANN])[0][0]
 
 
 def conditional_information_geometric(
     omega: DensityMatrix, split: int, kind: DistanceKind
 ) -> float:
     """Geometric conditional information d^n(Omega, Omega_S (x) 1/d_E)."""
-    return _conditional_informations(omega, split, [kind])[0]
+    return _conditional_informations([omega], split, [kind])[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -140,19 +143,20 @@ def conditional_information_geometric(
 # --------------------------------------------------------------------------
 
 
-def _delta_lp_closed_form(
-    rho_mat: np.ndarray, phi_mat: np.ndarray, p: float, d_e: int
-) -> np.ndarray:
+def _delta_lp_closed_form(singular: list[np.ndarray], p: float, d_e: int) -> np.ndarray:
     """Closed-form L_p information gain of each (rho, Phi(rho)) pair of two
     stacks, as the difference of the two block-diagonal conditional
     informations:
 
         I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
         I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
+
+    from the singular values of rho - Phi/d_E, Phi and rho, which every
+    order shares.
     """
-    d_t = linalg.scalar_power(linalg.schatten_norm(rho_mat - phi_mat / d_e, p), p)
-    norm_phi = linalg.scalar_power(linalg.schatten_norm(phi_mat, p), p)
-    norm_rho = linalg.scalar_power(linalg.schatten_norm(rho_mat, p), p)
+    d_t, norm_phi, norm_rho = (
+        linalg.scalar_power(linalg.schatten_from_singular_values(s, p), p) for s in singular
+    )
     i_t = d_t + (d_e - 1) / d_e**p * norm_phi
     i_0 = norm_rho * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
     return i_t - i_0
@@ -170,8 +174,8 @@ def _stacked_deltas(rhos: np.ndarray, phis: np.ndarray, d_e: int, kinds) -> list
     """The gain of each kind for each (rho, Phi(rho)) pair of two (N, d, d)
     stacks with d_E outcomes: one array of N values per kind, with at most
     one stacked root product sqrt(Phi(rho)) sqrt(rho), which Bures and
-    Hellinger share."""
-    root = None
+    Hellinger share, and one set of SVDs, which the L_p orders share."""
+    root = singular = None
     columns = []
     for kind in kinds:
         if _entropic(kind):
@@ -185,7 +189,10 @@ def _stacked_deltas(rhos: np.ndarray, phis: np.ndarray, d_e: int, kinds) -> list
                 root = metrics._root_product(rhos, phis)
             columns.append(metrics._root_distance_sq(kind.family, root) / np.sqrt(d_e))
         else:
-            columns.append(_delta_lp_closed_form(rhos, phis, kind.p, d_e))
+            if singular is None:
+                singular = [np.linalg.svd(m, compute_uv=False)
+                            for m in (rhos - phis / d_e, phis, rhos)]
+            columns.append(_delta_lp_closed_form(singular, kind.p, d_e))
     return columns
 
 
@@ -224,10 +231,10 @@ def delta_conditional_information(
 
 
 def _dilated_deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
-    """delta_conditional_information_dilated of each kind, from one dilation."""
-    omega0, omega_t = channels.evolve(channels.build_dilation(rho, a))
-    after = _conditional_informations(omega_t, len(rho.dims), kinds)
-    before = _conditional_informations(omega0, len(rho.dims), kinds)
+    """delta_conditional_information_dilated of each kind, from one dilation
+    whose Omega_0 and Omega_t are evaluated as one 2-stack."""
+    omegas = channels.evolve(channels.build_dilation(rho, a))
+    before, after = _conditional_informations(omegas, len(rho.dims), kinds)
     return [t - z for t, z in zip(after, before)]
 
 

@@ -27,6 +27,8 @@ from .errors import (
 
 TAU_TRACE = 1e-10
 PROJECTOR_TOL = 1e-9
+# Entries of P_j P_i that the projector check computes at once (16 MB).
+OVERLAP_CHUNK = 2**20
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,6 +102,40 @@ def validate_state(m, dims: Sequence[int]) -> DensityMatrix:
     return rho
 
 
+def _first_projector_failure(stack: np.ndarray) -> str | None:
+    """The first failed projector check of a (k, d, d) stack, or None.
+
+    Projector i must be finite, Hermitian and idempotent, and orthogonal
+    to every projector j < i, each within PROJECTOR_TOL.  Every check is
+    evaluated on the whole stack; the failure named is the first by i, and
+    for one i the first of finite, Hermitian, idempotent, then orthogonal
+    to j = 0, 1, ..., i - 1.
+    """
+    k = len(stack)
+    # by row i: finite, Hermitian, idempotent, then orthogonal to P_j;
+    # P_j P_i is computed in chunks of rows of at most OVERLAP_CHUNK
+    # entries, one chunk for every small observable
+    failed = np.empty((k, 3 + k), dtype=bool)
+    rows = max(1, OVERLAP_CHUNK // max(stack.size, 1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        failed[:, 0] = ~np.isfinite(stack).all(axis=(-2, -1))
+        failed[:, 1] = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > PROJECTOR_TOL
+        failed[:, 2] = np.abs(stack @ stack - stack).max(axis=(-2, -1)) > PROJECTOR_TOL
+        for i in range(0, k, rows):
+            overlaps = np.abs(stack @ stack[i : i + rows, None]).max(axis=(-2, -1))
+            failed[i : i + rows, 3:] = overlaps > PROJECTOR_TOL
+    index = np.arange(k)
+    failed[:, 3:] &= index < index[:, None]  # only j < i
+    first = np.flatnonzero(failed)
+    if not first.size:
+        return None
+    i, check = divmod(int(first[0]), 3 + k)
+    if check >= 3:
+        return f"projectors {check - 3} and {i} are not orthogonal"
+    return f"projector {i} " + ("has a non-finite entry", "is not Hermitian",
+                                "is not idempotent")[check]
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A d-outcome projective decomposition A = sum_a a_a P_a on one subsystem.
@@ -119,7 +155,7 @@ class Observable:
         if not 0 <= sub < len(dims):
             raise DimensionMismatch(f"subsystem {sub} invalid for dims {dims}")
         d = dims[sub]
-        projs = tuple(_frozen(linalg.as_square(p)) for p in self.projectors)
+        projs = [linalg.as_square(p) for p in self.projectors]
         eigs = tuple(float(a) for a in self.eigenvalues)
         if len(projs) != len(eigs) or not projs:
             raise DimensionMismatch("need one eigenvalue per projector")
@@ -127,24 +163,21 @@ class Observable:
             raise OutOfRange(f"eigenvalues must be finite, got {eigs}")
         if len(set(eigs)) != len(eigs):
             raise NonProjective(f"eigenvalues must be distinct, got {eigs}")
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise DimensionMismatch(
-                    f"projector {i} has shape {p.shape}, subsystem dim is {d}"
-                )
-            if not np.isfinite(p).all():
-                raise NonProjective(f"projector {i} has a non-finite entry")
-            if linalg.hermiticity_defect(p) > PROJECTOR_TOL:
-                raise NonProjective(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > PROJECTOR_TOL:
-                raise NonProjective(f"projector {i} is not idempotent")
-            for j in range(i):
-                if np.abs(projs[j] @ p).max() > PROJECTOR_TOL:
-                    raise NonProjective(f"projectors {j} and {i} are not orthogonal")
-            total += p
-        if np.abs(total - np.eye(d)).max() > PROJECTOR_TOL:
+        # The projectors ahead of the first with the wrong shape form the
+        # stack whose values are checked first.
+        shaped = next((i for i, p in enumerate(projs) if p.shape != (d, d)), len(projs))
+        stack = np.array(projs[:shaped], dtype=complex).reshape(shaped, d, d)
+        failure = _first_projector_failure(stack)
+        if failure:
+            raise NonProjective(failure)
+        if shaped < len(projs):
+            raise DimensionMismatch(
+                f"projector {shaped} has shape {projs[shaped].shape}, subsystem dim is {d}"
+            )
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > PROJECTOR_TOL:
             raise NonProjective("projectors do not sum to the identity")
+        stack.flags.writeable = False
+        projs = tuple(stack)
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "subsystem", sub)
@@ -330,13 +363,28 @@ def random_observable(
     d: int, seed, subsystem: int = 0, dims: Sequence[int] | None = None
 ) -> Observable:
     """Eigenprojectors of a random Hermitian Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    g = _ginibre(rng, d, d)
-    w, v = linalg.hermitian_eig((g + g.conj().T) / 2)
-    projs = tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(d))
-    return Observable(
-        projs, tuple(float(x) for x in w), subsystem, (d,) if dims is None else tuple(dims)
-    )
+    return random_observables([(d, seed, subsystem, dims)])[0]
+
+
+def random_observables(draws) -> list[Observable]:
+    """random_observable of each (d, seed, subsystem, dims) draw, in order.
+
+    Each draw makes its own seeded Ginibre matrix; their Hermitian parts
+    are decomposed as one stack per dimension, which gives each member the
+    bits of its own decomposition.
+    """
+    draws = list(draws)
+    hermitian = []
+    for d, seed, _, _ in draws:
+        g = _ginibre(np.random.default_rng(seed), d, d)
+        hermitian.append((g + g.conj().T) / 2)
+    decompositions = linalg.stackwise(lambda h: zip(*linalg.hermitian_eig(h)), hermitian)
+    return [
+        # projector k is the outer product of eigenvector k with itself
+        Observable(v.T[:, :, None] * v.T.conj()[:, None, :], w.tolist(), subsystem,
+                   (d,) if dims is None else tuple(dims))
+        for (d, _, subsystem, dims), (w, v) in zip(draws, decompositions)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -372,10 +372,17 @@ class TestSchattenNorm:
                 linalg.schatten_norm(m, p), abs=1e-9
             )
 
-    def test_invalid_order(self):
-        for p in (0.5, float("inf"), float("nan")):
-            with pytest.raises(InvalidOrder):
-                linalg.schatten_norm(np.eye(2), p)
+    def test_invalid_order(self, monkeypatch):
+        # the order is checked before any SVD: a NaN matrix would fail in it
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken before the order check")
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        for m in (np.eye(2), nan, np.stack([nan, np.eye(2)])):
+            for p in (0.5, float("inf"), float("nan")):
+                with pytest.raises(InvalidOrder):
+                    linalg.schatten_norm(m, p)
 
 
 class TestKron:

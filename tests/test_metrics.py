@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqr import metrics
+from vqr import linalg, metrics
 from vqr.channels import phi_map
 from vqr.errors import DimensionMismatch, DomainError, InvalidAlpha, InvalidOrder
 from vqr.metrics import (
@@ -442,6 +442,22 @@ class TestPropertyChecks:
         assert squared["joint_convexity"].passed
         assert base["contractivity"].passed and squared["contractivity"].passed
 
+    @pytest.mark.parametrize("trials", [1, 5, 40])
+    def test_each_trial_draws_its_pair_once(self, monkeypatch, trials):
+        # the four checks share trial i's (rho, sigma); joint convexity
+        # draws one more pair: 4 states a trial
+        from vqr.audit import run_property_table
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return random_density(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "random_density", counted)
+        run_property_table(trials, 7)
+        assert len(calls) == 4 * trials
+
     def test_report_json_schema(self):
         report = check_distance_properties(TRACE, 10, seed=1)[0]
         obj = report.to_json()
@@ -472,6 +488,24 @@ class TestStackedEvaluation:
             assert stacked == [
                 tuple(metrics.powered_distance(k, r, s) for k in kinds) for r, s in pairs
             ]
+
+    def test_one_svd_serves_every_schatten_order(self):
+        # _powered_distances takes one SVD of s - r for every order; each
+        # value has the bits of its own schatten_norm, raised to its power
+        kinds = [TRACE, HILBERT_SCHMIDT, lp(1.5), lp(3.0), lp(3.0, power=1.0), BURES]
+        schatten = [k for k in kinds if k.schatten_p is not None]
+        for d in (2, 3, 4, 6):
+            pairs = [metrics._random_pair(750 + 10 * d + k, d) for k in range(4)]
+            rs, ss = (np.stack(side) for side in zip(*pairs))
+            for r, s in pairs:
+                got = metrics._powered_distances(kinds, r, s)
+                assert [got[kinds.index(k)] for k in schatten] == [
+                    linalg.schatten_norm(s - r, k.schatten_p) ** k.power for k in schatten
+                ]
+            got = metrics._powered_distances(kinds, rs, ss)
+            for k in schatten:
+                norms = linalg.schatten_norm(ss - rs, k.schatten_p)
+                assert got[kinds.index(k)] == [norm ** k.power for norm in norms.tolist()]
 
     def test_entropies_of_a_stack_sum_each_member_alone(self):
         # Rank-deficient states up to d = 12: their clipped null eigenvalues

@@ -365,7 +365,17 @@ class TestKindListHelpers:
                     else conditional_information_geometric(omega, 2, kind)
                     for kind in kinds
                 ]
-                assert _conditional_informations(omega, 2, kinds) == expected
+                assert _conditional_informations([omega], 2, kinds)[0] == expected
+
+    def test_two_stack_conditional_informations_equal_one_omega_calls(self):
+        # Omega_0 and Omega_t of one dilation, at d_A = 2..4 and d_B = 2, 3
+        kinds = [parse_kind(token) for token in ("tr", "hs", "bu", "he", "vn", "lp1.5", "lp3")]
+        for i in range(6):
+            rho, obs = random_instance(9700 + i, i, d_b=2 + (i > 2))
+            omegas = evolve(build_dilation(rho, obs))
+            assert _conditional_informations(omegas, 2, kinds) == [
+                _conditional_informations([omega], 2, kinds)[0] for omega in omegas
+            ]
 
     @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
     def test_mixed_dimension_pair_lists_equal_one_pair_calls(self, tokens):

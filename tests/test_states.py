@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vqr import states
+from vqr import linalg, states
 from vqr.channels import build_dilation, evolve, measure_nonselective, monitor
 from vqr.errors import (
     DimensionMismatch,
@@ -232,6 +232,30 @@ class TestObservableInvariants:
             Observable((p0, p1), (1.0, -1.0), 0, (2,))
 
     @pytest.mark.parametrize(
+        "diagonals, error, message",
+        [
+            # NaN in projector 1 beats projector 2 failing idempotency
+            ([(1, 0, 0), (0, np.nan, 0), (0, 0, 0.5)], NonProjective,
+             "projector 1 has a non-finite entry"),
+            # projector 1's own checks come before the overlap of 0 and 2
+            ([(1, 0, 0), (0, 0.5, 0), (1, 0, 0)], NonProjective, "projector 1 is not idempotent"),
+            # of two overlapping pairs, the lower index is named
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], NonProjective,
+             "projectors 0 and 2 are not orthogonal"),
+            # a bad shape at 2 comes before 2's values and the completeness check
+            ([(1, 0, 0), (0, 0, 0), (np.nan,) * 4], DimensionMismatch,
+             r"projector 2 has shape \(4, 4\)"),
+            # but after the values of the projectors ahead of it
+            ([(np.nan, 0, 0), (0, 1, 0), (0,) * 4], NonProjective,
+             "projector 0 has a non-finite entry"),
+        ],
+    )
+    def test_first_failure_in_projector_order(self, diagonals, error, message):
+        projectors = [np.diag(np.array(diag, dtype=complex)) for diag in diagonals]
+        with pytest.raises(error, match=message):
+            Observable(projectors, (0.0, 1.0, 2.0), 0, (3,))
+
+    @pytest.mark.parametrize(
         "eigenvalues", [(np.nan, 1.0), (np.nan, np.nan), (1.0, np.inf)]
     )
     def test_rejects_non_finite_eigenvalue(self, eigenvalues):
@@ -313,6 +337,23 @@ class TestRandomSampling:
         a = random_observable(3, seed=44)
         b = random_observable(3, seed=44)
         assert all(np.array_equal(p, q) for p, q in zip(a.projectors, b.projectors))
+
+    def test_block_draws_equal_one_draw_calls(self):
+        # d = 2..4 on subsystems 0 and 1, and d = 3 alone, in one call; the
+        # reference decomposes each draw alone, as one matrix
+        draws = [(2 + k % 3, 5000 + k, k // 3 % 2, None) for k in range(12)]
+        draws = [(d, seed, sub, (d, 2) if sub == 0 else (2, d)) for d, seed, sub, _ in draws]
+        draws.append((3, 5100, 0, None))
+        for (d, seed, sub, dims), obs in zip(draws, states.random_observables(draws)):
+            g = states._ginibre(np.random.default_rng(seed), d, d)
+            w, v = linalg.hermitian_eig((g + g.conj().T) / 2)
+            reference = [np.outer(v[:, k], v[:, k].conj()) for k in range(d)]
+            for alone in (random_observable(d, seed, sub, dims), obs):
+                assert (alone.subsystem, alone.dims) == (sub, dims or (d,))
+                assert alone.eigenvalues == tuple(w.tolist())
+                for p, ref in zip(alone.projectors, reference, strict=True):
+                    assert np.array_equal(p.view(float), ref.view(float))
+                    assert np.array_equal(np.signbit(p.view(float)), np.signbit(ref.view(float)))
 
     def test_rank_out_of_range(self):
         with pytest.raises(OutOfRange):
