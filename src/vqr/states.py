@@ -112,14 +112,14 @@ def _first_projector_failure(stack: np.ndarray) -> str | None:
     to j = 0, 1, ..., i - 1.
     """
     k = len(stack)
-    # by row i: finite, Hermitian, idempotent, then orthogonal to P_j;
-    # P_j P_i is computed in chunks of rows of at most OVERLAP_CHUNK
-    # entries, one chunk for every small observable
     failed = np.empty((k, 3 + k), dtype=bool)
+    # P_j P_i in chunks of rows of at most OVERLAP_CHUNK entries, which is
+    # one chunk for every small observable
     rows = max(1, OVERLAP_CHUNK // max(stack.size, 1))
     with np.errstate(invalid="ignore", over="ignore"):
         failed[:, 0] = ~np.isfinite(stack).all(axis=(-2, -1))
-        failed[:, 1] = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > PROJECTOR_TOL
+        hermiticity = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        failed[:, 1] = hermiticity > PROJECTOR_TOL
         failed[:, 2] = np.abs(stack @ stack - stack).max(axis=(-2, -1)) > PROJECTOR_TOL
         for i in range(0, k, rows):
             overlaps = np.abs(stack @ stack[i : i + rows, None]).max(axis=(-2, -1))
