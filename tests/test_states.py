@@ -341,8 +341,8 @@ class TestRandomSampling:
     def test_block_draws_equal_one_draw_calls(self):
         # d = 2..4 on subsystems 0 and 1, and d = 3 alone, in one call; the
         # reference decomposes each draw alone, as one matrix
-        draws = [(2 + k % 3, 5000 + k, k // 3 % 2, None) for k in range(12)]
-        draws = [(d, seed, sub, (d, 2) if sub == 0 else (2, d)) for d, seed, sub, _ in draws]
+        draws = [(2 + k % 3, 5000 + k, k // 3 % 2) for k in range(12)]
+        draws = [(d, seed, sub, (d, 2) if sub == 0 else (2, d)) for d, seed, sub in draws]
         draws.append((3, 5100, 0, None))
         for (d, seed, sub, dims), obs in zip(draws, states.random_observables(draws)):
             g = states._ginibre(np.random.default_rng(seed), d, d)
