@@ -5,7 +5,7 @@ the reality predicate, and the shift-register measurement dilation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,92 +88,70 @@ class DilationSetup:
 
     Tracing the environment out of U (rho (x) |e0><e0|) U^dag gives the
     non-selective measurement of the observable, and U leaves
-    Phi_A(rho) (x) 1/d_E invariant.  residuals holds the two contract
-    residuals of dilation_residuals, computed once at construction.
+    Phi_A(rho) (x) 1/d_E invariant.  omegas holds the global states
+    (Omega_0, Omega_t) and residuals the two contract residuals, reduction
+    and invariance, all formed once by build_dilation.
     """
 
     system_state: DensityMatrix
     observable: Observable
     environment_dim: int
     unitary: np.ndarray
-    env_ground: int = 0
-    residuals: tuple[float, float] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "residuals", dilation_residuals(self))
+    omegas: tuple[DensityMatrix, DensityMatrix]
+    residuals: tuple[float, float]
 
 
-def _shift_matrix(d: int) -> np.ndarray:
-    """Cyclic shift X |e_k> = |e_{k+1 mod d}>."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
-def build_dilation(
-    rho: DensityMatrix, a: Observable, env_ground: int = 0
-) -> DilationSetup:
+def build_dilation(rho: DensityMatrix, a: Observable) -> DilationSetup:
     """Construct the shift-register dilation U = sum_a P_a (x) X^a.
 
     The environment dimension d_E is the number of outcomes, and X is the
-    cyclic shift on it.  U is unitary for any complete set of orthogonal
-    projectors, rank-1 or not: U^dag U = sum_a P_a (x) 1.  The returned
-    unitary is verified against the reduction and invariance contracts.
+    cyclic shift X |e_k> = |e_{k+1 mod d_E}>.  U is unitary for any complete
+    set of orthogonal projectors, rank-1 or not: U^dag U = sum_a P_a (x) 1.
+    The global states Omega_0 = rho (x) |e0><e0| and Omega_t =
+    U Omega_0 U^dag are formed once, and U is verified against the
+    contracts: reduction, max entrywise |Tr_E Omega_t - Phi_A(rho)|, and
+    invariance, max entrywise
+    |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|.
     """
     _require_same_space(rho, a)
     d_e = a.outcomes
-    if not 0 <= env_ground < d_e:
-        raise OutOfRange(f"env_ground must be in [0, {d_e}), got {env_ground}")
-
-    shift = _shift_matrix(d_e)
+    shift = np.roll(np.eye(d_e, dtype=complex), 1, axis=0)
     d_s = rho.dim
     u = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
     power = np.eye(d_e, dtype=complex)
     for p_full in a.full_projectors:
         u += np.kron(p_full, power)
         power = shift @ power
+    u = _frozen(u)
 
     if np.abs(u.conj().T @ u - np.eye(d_s * d_e)).max() > UNITARY_TOL:
         raise DimensionMismatch("constructed dilation is not unitary")
 
-    setup = DilationSetup(rho, a, d_e, _frozen(u), env_ground)
-    reduction, invariance = setup.residuals
+    ground = np.zeros((d_e, d_e), dtype=complex)
+    ground[0, 0] = 1.0
+    omega0 = np.kron(rho.matrix, ground)
+    omega_t = u @ omega0 @ u.conj().T
+    dims = rho.dims + (d_e,)
+    phi = phi_map(rho.matrix, a)
+    reduced = linalg.partial_trace(omega_t, dims, range(len(rho.dims)))
+    fixed = np.kron(phi, np.eye(d_e, dtype=complex) / d_e)
+    moved = u @ fixed @ u.conj().T
+    reduction = float(np.abs(reduced - phi).max())
+    invariance = float(np.abs(moved - fixed).max())
     if reduction > DILATION_TOL or invariance > DILATION_TOL:
         raise DimensionMismatch(
             f"dilation contract violated: reduction {reduction:.3e}, "
             f"invariance {invariance:.3e}"
         )
-    return setup
-
-
-def _global_matrices(setup: DilationSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Omega_0 = rho (x) |e0><e0| and Omega_t = U Omega_0 U^dag as matrices."""
-    d_e = setup.environment_dim
-    ground = np.zeros((d_e, d_e), dtype=complex)
-    ground[setup.env_ground, setup.env_ground] = 1.0
-    omega0 = np.kron(setup.system_state.matrix, ground)
-    return omega0, setup.unitary @ omega0 @ setup.unitary.conj().T
+    omegas = DensityMatrix(omega0, dims), DensityMatrix(omega_t, dims)
+    return DilationSetup(rho, a, d_e, u, omegas, (reduction, invariance))
 
 
 def evolve(setup: DilationSetup) -> tuple[DensityMatrix, DensityMatrix]:
     """Global states before and after the measurement interaction.
 
     Returns (Omega_0, Omega_t) with Omega_0 = rho (x) |e0><e0| and
-    Omega_t = U Omega_0 U^dag, both on dims = system dims + (d_E,).
+    Omega_t = U Omega_0 U^dag, both on dims = system dims + (d_E,), as
+    build_dilation formed them.
     """
-    dims = setup.system_state.dims + (setup.environment_dim,)
-    omega0, omega_t = _global_matrices(setup)
-    return DensityMatrix(omega0, dims), DensityMatrix(omega_t, dims)
-
-
-def dilation_residuals(setup: DilationSetup) -> tuple[float, float]:
-    """The dilation's two contract residuals, from one Phi_A(rho) and one
-    Omega_t: reduction, max entrywise
-    |Tr_E[U (rho (x) |e0><e0|) U^dag] - Phi_A(rho)|, and invariance, max
-    entrywise |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|."""
-    rho = setup.system_state
-    d_e = setup.environment_dim
-    phi = phi_map(rho.matrix, setup.observable)
-    dims = rho.dims + (d_e,)
-    reduced = linalg.partial_trace(_global_matrices(setup)[1], dims, range(len(rho.dims)))
-    fixed = np.kron(phi, np.eye(d_e, dtype=complex) / d_e)
-    moved = setup.unitary @ fixed @ setup.unitary.conj().T
-    return float(np.abs(reduced - phi).max()), float(np.abs(moved - fixed).max())
+    return setup.omegas

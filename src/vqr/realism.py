@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import channels, linalg, metrics
+from . import channels, metrics
 from .errors import DimensionMismatch, InvalidOrder
 from .metrics import VON_NEUMANN, DistanceKind, Kind
 from .states import DensityMatrix, Observable, computational_observable, max_entangled
@@ -143,25 +143,6 @@ def conditional_information_geometric(
 # --------------------------------------------------------------------------
 
 
-def _delta_lp_closed_form(singular: list[np.ndarray], p: float, d_e: int) -> np.ndarray:
-    """Closed-form L_p information gain of each (rho, Phi(rho)) pair of two
-    stacks, as the difference of the two block-diagonal conditional
-    informations:
-
-        I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
-        I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
-
-    from the singular values of rho - Phi/d_E, Phi and rho, which every
-    order shares.
-    """
-    d_t, norm_phi, norm_rho = (
-        linalg.scalar_power(linalg.schatten_from_singular_values(s, p), p) for s in singular
-    )
-    i_t = d_t + (d_e - 1) / d_e**p * norm_phi
-    i_0 = norm_rho * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
-    return i_t - i_0
-
-
 def _entropic(kind: Kind) -> bool:
     """True for von Neumann, False for a distance; the Renyi divergences
     have no realism recipe and raise InvalidOrder."""
@@ -172,27 +153,44 @@ def _entropic(kind: Kind) -> bool:
 
 def _stacked_deltas(rhos: np.ndarray, phis: np.ndarray, d_e: int, kinds) -> list[np.ndarray]:
     """The gain of each kind for each (rho, Phi(rho)) pair of two (N, d, d)
-    stacks with d_E outcomes: one array of N values per kind, with at most
-    one stacked root product sqrt(Phi(rho)) sqrt(rho), which Bures and
-    Hellinger share, and one set of SVDs, which the L_p orders share."""
-    root = singular = None
+    stacks with d_E outcomes: one array of N values per kind.  Each is a
+    closed form in distances from metrics._powered_distances: tr and the
+    L_p orders read d(rho, Phi/d_E) from one call, whose SVD they share,
+    and hs, bu and he read d(rho, Phi) from another.  The L_p block formula
+
+        I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
+        I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
+
+    also reads ||Phi||_p^p and ||rho||_p^p, the distances from 0."""
+    scaled = [kind for kind in kinds if kind != VON_NEUMANN and kind.family in ("tr", "lp")]
+    direct = [kind for kind in kinds if kind != VON_NEUMANN and kind.family in ("hs", "bu", "he")]
+    orders = [kind for kind in scaled if kind.family == "lp"]
+    distances = {}
+    if scaled:
+        distances.update(zip(scaled, metrics._powered_distances(scaled, rhos, phis / d_e)))
+    if direct:
+        distances.update(zip(direct, metrics._powered_distances(direct, rhos, phis)))
+    if orders:
+        zero = np.zeros_like(rhos)
+        norms_phi = dict(zip(orders, metrics._powered_distances(orders, zero, phis)))
+        norms_rho = dict(zip(orders, metrics._powered_distances(orders, zero, rhos)))
     columns = []
     for kind in kinds:
-        if _entropic(kind):
+        if kind == VON_NEUMANN:
             columns.append(metrics._entropies(phis) - metrics._entropies(rhos))
-        elif kind.family == "tr":
-            columns.append(linalg.schatten_norm(phis / d_e - rhos, 1.0) - (d_e - 1) / d_e)
+            continue
+        d = np.array(distances[kind])
+        if kind.family == "tr":
+            columns.append(d - (d_e - 1) / d_e)
         elif kind.family == "hs":
-            columns.append(linalg.scalar_power(linalg.schatten_norm(phis - rhos, 2.0), 2) / d_e)
+            columns.append(d / d_e)
         elif kind.family in ("bu", "he"):
-            if root is None:
-                root = metrics._root_product(rhos, phis)
-            columns.append(metrics._root_distance_sq(kind.family, root) / np.sqrt(d_e))
+            columns.append(d / np.sqrt(d_e))
         else:
-            if singular is None:
-                singular = [np.linalg.svd(m, compute_uv=False)
-                            for m in (rhos - phis / d_e, phis, rhos)]
-            columns.append(_delta_lp_closed_form(singular, kind.p, d_e))
+            p = kind.p
+            i_t = d + (d_e - 1) / d_e**p * np.array(norms_phi[kind])
+            i_0 = np.array(norms_rho[kind]) * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
+            columns.append(i_t - i_0)
     return columns
 
 
@@ -201,7 +199,15 @@ def _deltas(pairs, kinds) -> list[list[float]]:
     one list per pair, in input order.  Pairs that share the matrix
     dimension and the outcome count (a scalar in every formula) are
     evaluated as one stack, from one Phi(rho) per pair; each pair gets the
-    bits it would get on its own."""
+    bits it would get on its own.  A distance kind at other than its
+    default power raises InvalidOrder: the closed forms hold only there."""
+    for kind in kinds:
+        default = kind if _entropic(kind) else DistanceKind(kind.family, kind.p)
+        if kind != default:
+            raise InvalidOrder(
+                f"no closed form for {kind.label()} (power {kind.power:g}): "
+                f"{kind.token()} takes only power {default.power:g}; "
+                "delta_conditional_information_dilated takes any power")
     groups = {}
     for i, (rho, a) in enumerate(pairs):
         channels._require_same_space(rho, a)
@@ -225,7 +231,9 @@ def delta_conditional_information(
     Per kind: trace  d_Tr(rho, Phi/d_E) - (d_E-1)/d_E;
     HS (1/d_E) d_HS^2(rho, Phi); Bures (1/sqrt(d_E)) d_Bu^2(rho, Phi);
     Hellinger (1/sqrt(d_E)) d_He^2(rho, Phi); general L_p the block
-    formula; von Neumann the irrealism S(Phi(rho)) - S(rho).
+    formula; von Neumann the irrealism S(Phi(rho)) - S(rho).  Each
+    distance takes its default power (tr 1, hs, bu and he 2, lp<p> p);
+    another power raises InvalidOrder.
     """
     return _deltas([(rho, a)], [kind])[0][0]
 

@@ -313,10 +313,6 @@ def computational_observable(
 ) -> Observable:
     """The d rank-1 projectors |a><a| with eigenvalues 0..d-1."""
     dims = (d,) if dims is None else tuple(dims)
-    if dims[subsystem] != d:
-        raise DimensionMismatch(
-            f"subsystem {subsystem} has dim {dims[subsystem]}, observable wants {d}"
-        )
     projs = tuple(np.diag(np.eye(d)[a]).astype(complex) for a in range(d))
     return Observable(projs, tuple(float(a) for a in range(d)), subsystem, dims)
 
@@ -354,8 +350,9 @@ def random_density(
 def random_pure(dims: Sequence[int], seed) -> DensityMatrix:
     """Haar-random pure state: a random unitary applied to |0...0>."""
     dims = tuple(int(d) for d in dims)
-    n = math.prod(dims)
-    psi = haar_unitary(n, seed)[:, 0]
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"dims must be positive, got {dims}")
+    psi = haar_unitary(math.prod(dims), seed)[:, 0]
     return DensityMatrix(np.outer(psi, psi.conj()), dims)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vqr.audit import run_audit, run_axiom_cell
-from vqr.channels import build_dilation, dilation_residuals
+from vqr.channels import build_dilation
 from vqr.metrics import (
     BURES,
     HELLINGER,
@@ -154,7 +154,7 @@ def test_criterion_6_dilation_contracts():
             seed = SEED + i
             rho = random_density(d_a * d_b, d_a * d_b, seed, dims=(d_a, d_b))
             obs = random_observable(d_a, seed + 50021, subsystem=0, dims=(d_a, d_b))
-            reduction, invariance = dilation_residuals(build_dilation(rho, obs))
+            reduction, invariance = build_dilation(rho, obs).residuals
             worst_reduction = max(worst_reduction, reduction)
             worst_invariance = max(worst_invariance, invariance)
         assert worst_reduction < 1e-10

@@ -4,7 +4,6 @@ import pytest
 from vqr import linalg
 from vqr.channels import (
     build_dilation,
-    dilation_residuals,
     evolve,
     has_reality,
     measure_nonselective,
@@ -269,7 +268,7 @@ class TestDilation:
             d_a = 2 + (i % 3)
             rho = random_density(2 * d_a, 2 * d_a, 8000 + i, dims=(d_a, 2))
             obs = random_observable(d_a, 8500 + i, subsystem=0, dims=(d_a, 2))
-            reduction, invariance = dilation_residuals(build_dilation(rho, obs))
+            reduction, invariance = build_dilation(rho, obs).residuals
             assert reduction < 1e-10
             assert invariance < 1e-10
 
@@ -304,14 +303,18 @@ class TestDilation:
         out = measure_nonselective(rho, obs)
         assert np.abs(phi_map(out.matrix, obs) - out.matrix).max() < 1e-12
 
-    def test_env_ground_choice(self):
-        setup = build_dilation(werner(0.4), SIGMA_Z_ON_FIRST, env_ground=1)
-        assert dilation_residuals(setup)[0] < 1e-12
-        with pytest.raises(OutOfRange):
-            build_dilation(werner(0.4), SIGMA_Z_ON_FIRST, env_ground=5)
-
 
 class TestEvolve:
+    def test_returns_the_pair_formed_by_build_dilation(self):
+        for i in range(6):
+            rho, obs = random_instance(9300 + i, i)
+            setup = build_dilation(rho, obs)
+            omega0, omega_t = evolve(setup)
+            assert evolve(setup) is setup.omegas
+            assert omega0.dims == omega_t.dims == rho.dims + (setup.environment_dim,)
+            u = setup.unitary
+            assert np.array_equal(omega_t.matrix, u @ omega0.matrix @ u.conj().T)
+
     def test_real_state_is_fixed_point(self):
         rho = validate_state(np.diag([0.25, 0.25, 0.3, 0.2]), (2, 2))
         setup = build_dilation(rho, SIGMA_Z_ON_FIRST)

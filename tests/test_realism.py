@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -414,6 +415,55 @@ class TestKindListHelpers:
         ):
             with pytest.raises(InvalidOrder, match="no realism recipe"):
                 call()
+
+
+class TestClosedFormRoute:
+    """The closed forms read their distances from metrics._powered_distances:
+    tr and the L_p orders share one SVD of Phi/d_E - rho, hs one of
+    Phi - rho, and ||Phi||_p^p and ||rho||_p^p one SVD each."""
+
+    def test_one_stack_of_tr_hs_and_two_lp_orders_takes_four_svds(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        pairs = [random_instance(9800 + 3 * i, 0) for i in range(5)]
+        kinds = [parse_kind(token) for token in ("tr", "hs", "lp1.5", "lp3")]
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        _deltas(pairs, kinds)
+        assert calls == [(5, 4, 4)] * 4
+
+    @pytest.mark.parametrize("d_e", [2, 3])
+    def test_stacked_columns_equal_one_kind_calls(self, d_e):
+        kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
+        pairs = [random_instance(9900 + i, d_e - 2 + 3 * i) for i in range(4)]
+        assert {obs.outcomes for _, obs in pairs} == {d_e}
+        assert _deltas(pairs, kinds) == [
+            [delta_conditional_information(rho, obs, k) for k in kinds] for rho, obs in pairs
+        ]
+
+    @pytest.mark.parametrize("token, power", [
+        ("tr", 2.0), ("hs", 1.0), ("bu", 1.0), ("he", 1.0), ("lp3", 1.0)])
+    def test_non_default_power_raises_and_the_dilation_takes_it(self, token, power):
+        # The closed forms hold at the default powers only: at hs^1 the
+        # closed form would read 0.0906 where the dilation gives 0.0771.
+        rho = random_density(4, 4, 3, dims=(2, 2))
+        obs = random_observable(2, 5, 0, (2, 2))
+        kind = parse_kind(token).with_power(power)
+        message = re.escape(f"no closed form for {kind.label()} ")
+        for call in (
+            lambda: delta_conditional_information(rho, obs, kind),
+            lambda: realism(rho, obs, kind),
+            lambda: realism_max(kind, 2),
+        ):
+            with pytest.raises(InvalidOrder, match=message):
+                call()
+        assert np.isfinite(delta_conditional_information_dilated(rho, obs, kind))
+        omega_t = evolve(build_dilation(rho, obs))[1]
+        assert np.isfinite(conditional_information_geometric(omega_t, 2, kind))
 
 
 @pytest.mark.parametrize("kind", [renyi(0.5), sandwiched_renyi(2.0)], ids=lambda k: k.token())

@@ -192,8 +192,13 @@ class TestComputationalObservable:
             assert np.array_equal(p @ p, p)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        message = r"projector 0 has shape \(3, 3\), subsystem dim is 2"
+        with pytest.raises(DimensionMismatch, match=message):
             computational_observable(3, 0, (2, 2))
+
+    def test_subsystem_out_of_range(self):
+        with pytest.raises(DimensionMismatch, match=r"subsystem 5 invalid for dims \(2, 2\)"):
+            computational_observable(2, 5, (2, 2))
 
 
 class TestObservableInvariants:
@@ -371,6 +376,14 @@ class TestRandomSampling:
         rho = random_pure((2, 3), seed=9)
         assert rho.dims == (2, 3)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+
+    def test_random_pure_rejects_a_zero_dim_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a unitary")
+
+        monkeypatch.setattr(states, "haar_unitary", no_draw)
+        with pytest.raises(DimensionMismatch, match=r"dims must be positive, got \(2, 0\)"):
+            random_pure((2, 0), 1)
 
     def test_haar_unitary_is_unitary(self):
         u = states.haar_unitary(5, seed=11)
