@@ -89,6 +89,7 @@ from .states import (
     random_observable,
     random_pure,
     spin_observable,
+    validate_observable,
     validate_state,
     werner,
 )

@@ -334,13 +334,15 @@ def run_audit(trials: int, seed: int, property_trials: int | None = None) -> dic
     true only when every axiom verdict equals the nominal table and every
     property outcome equals the published property table; the known
     part-discard deviation therefore makes it false.  Trial counts below 1
-    raise OutOfRange.
+    and a negative seed raise OutOfRange.
     """
     if property_trials is None:
         property_trials = trials
     for name, count in (("trials", trials), ("property_trials", property_trials)):
         if count < 1:
             raise OutOfRange(f"{name} must be at least 1, got {count}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be at least 0, got {seed}")
     cells = {
         (token, axiom): _cell_row(token, axiom, *found)
         for axiom in AXIOMS

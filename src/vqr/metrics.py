@@ -81,7 +81,9 @@ class DistanceKind:
         return self.family
 
     def label(self) -> str:
-        """Token annotated with the power, e.g. 'hs^2' or 'bu^1'."""
+        """Token annotated with the power, e.g. 'hs^2' or 'lp3^3'; a power of
+        1 is omitted, so HILBERT_SCHMIDT.with_power(1).label() is 'hs'.  A
+        label is display text, which parse_kind does not invert."""
         if self.power == 1.0:
             return self.token()
         return f"{self.token()}^{self.power:g}"

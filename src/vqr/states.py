@@ -1,5 +1,5 @@
-"""Quantum states and observables, the boundary check for outside states,
-named state families, and seeded random sampling.
+"""Quantum states and observables, the boundary checks for outside states
+and observables, named state families, and seeded random sampling.
 
 Basis ordering is row-major over subsystems: a two-qubit state is indexed
 |00>, |01>, |10>, |11>.
@@ -102,46 +102,15 @@ def validate_state(m, dims: Sequence[int]) -> DensityMatrix:
     return rho
 
 
-def _first_projector_failure(stack: np.ndarray) -> str | None:
-    """The first failed projector check of a (k, d, d) stack, or None.
-
-    Projector i must be finite, Hermitian and idempotent, and orthogonal
-    to every projector j < i, each within PROJECTOR_TOL.  Every check is
-    evaluated on the whole stack; the failure named is the first by i, and
-    for one i the first of finite, Hermitian, idempotent, then orthogonal
-    to j = 0, 1, ..., i - 1.
-    """
-    k = len(stack)
-    failed = np.empty((k, 3 + k), dtype=bool)
-    # P_j P_i in chunks of rows of at most OVERLAP_CHUNK entries, which is
-    # one chunk for every small observable
-    rows = max(1, OVERLAP_CHUNK // max(stack.size, 1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        failed[:, 0] = ~np.isfinite(stack).all(axis=(-2, -1))
-        hermiticity = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        failed[:, 1] = hermiticity > PROJECTOR_TOL
-        failed[:, 2] = np.abs(stack @ stack - stack).max(axis=(-2, -1)) > PROJECTOR_TOL
-        for i in range(0, k, rows):
-            overlaps = np.abs(stack @ stack[i : i + rows, None]).max(axis=(-2, -1))
-            failed[i : i + rows, 3:] = overlaps > PROJECTOR_TOL
-    index = np.arange(k)
-    failed[:, 3:] &= index < index[:, None]  # only j < i
-    first = np.flatnonzero(failed)
-    if not first.size:
-        return None
-    i, check = divmod(int(first[0]), 3 + k)
-    if check >= 3:
-        return f"projectors {check - 3} and {i} are not orthogonal"
-    return f"projector {i} " + ("has a non-finite entry", "is not Hermitian",
-                                "is not idempotent")[check]
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A d-outcome projective decomposition A = sum_a a_a P_a on one subsystem.
 
     Projectors are given in the subsystem's own dimension; `subsystem` and
     `dims` say where the observable sits inside the ambient product space.
+    Construction checks only the structure: the subsystem, one eigenvalue
+    per projector and d x d projectors.  vqr builds its own observables this
+    way; projectors from outside vqr go through `validate_observable`.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -159,26 +128,12 @@ class Observable:
         eigs = tuple(float(a) for a in self.eigenvalues)
         if len(projs) != len(eigs) or not projs:
             raise DimensionMismatch("need one eigenvalue per projector")
-        if not np.isfinite(eigs).all():
-            raise OutOfRange(f"eigenvalues must be finite, got {eigs}")
-        if len(set(eigs)) != len(eigs):
-            raise NonProjective(f"eigenvalues must be distinct, got {eigs}")
-        # The projectors ahead of the first with the wrong shape form the
-        # stack whose values are checked first.
-        shaped = next((i for i, p in enumerate(projs) if p.shape != (d, d)), len(projs))
-        stack = np.array(projs[:shaped], dtype=complex).reshape(shaped, d, d)
-        failure = _first_projector_failure(stack)
-        if failure:
-            raise NonProjective(failure)
-        if shaped < len(projs):
-            raise DimensionMismatch(
-                f"projector {shaped} has shape {projs[shaped].shape}, subsystem dim is {d}"
-            )
-        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > PROJECTOR_TOL:
-            raise NonProjective("projectors do not sum to the identity")
+        for i, p in enumerate(projs):
+            if p.shape != (d, d):
+                raise DimensionMismatch(f"projector {i} has shape {p.shape}, subsystem dim is {d}")
+        stack = np.array(projs, dtype=complex)
         stack.flags.writeable = False
-        projs = tuple(stack)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "subsystem", sub)
         object.__setattr__(self, "dims", dims)
@@ -235,8 +190,8 @@ class Observable:
         # every nonzero entry is a diagonal 1 iff the counts agree
         if np.count_nonzero(stack) != np.count_nonzero(diag == 1):
             return None
-        # 0/1 diagonals within PROJECTOR_TOL of completeness and
-        # orthogonality hold each index in exactly one projector
+        # complete orthogonal 0/1 diagonals, as every validated or vqr-built
+        # observable has, hold each index in exactly one projector
         local = diag.real.argmax(axis=0)
         d_right = math.prod(self.dims[self.subsystem + 1 :])
         index = np.arange(math.prod(self.dims))
@@ -246,6 +201,48 @@ class Observable:
     def scoped(self, dims: Sequence[int], subsystem: int) -> "Observable":
         """The same projective decomposition placed in another ambient space."""
         return Observable(self.projectors, self.eigenvalues, subsystem, tuple(dims))
+
+
+def validate_observable(projectors, eigenvalues, subsystem: int, dims: Sequence[int]) -> Observable:
+    """Check a projective decomposition from outside vqr and wrap it as an
+    observable.
+
+    The one place an observable's values are checked, one check at a time
+    after Observable's structure checks: OutOfRange for a non-finite
+    eigenvalue, then NonProjective for repeated eigenvalues, a projector
+    that is not finite, then not Hermitian, then not idempotent, a pair
+    j < i with P_j P_i != 0, or projectors that do not sum to the identity,
+    within PROJECTOR_TOL, naming the first projector or pair that fails.
+    """
+    obs = Observable(projectors, eigenvalues, subsystem, dims)
+    eigs = obs.eigenvalues
+    if not np.isfinite(eigs).all():
+        raise OutOfRange(f"eigenvalues must be finite, got {eigs}")
+    if len(set(eigs)) != len(eigs):
+        raise NonProjective(f"eigenvalues must be distinct, got {eigs}")
+    stack = np.array(obs.projectors)
+    # row i holds |P_j P_i| for every j, in chunks of rows of at most
+    # OVERLAP_CHUNK entries, which is one chunk for every small observable
+    rows = max(1, OVERLAP_CHUNK // stack.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        overlaps = np.concatenate([np.abs(stack @ stack[i : i + rows, None]).max(axis=(-2, -1))
+                                   for i in range(0, len(stack), rows)])
+        checks = (
+            (~np.isfinite(stack).all(axis=(-2, -1)), "projector {} has a non-finite entry"),
+            (np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > PROJECTOR_TOL,
+             "projector {} is not Hermitian"),
+            (np.abs(stack @ stack - stack).max(axis=(-2, -1)) > PROJECTOR_TOL,
+             "projector {} is not idempotent"),
+            (np.tril(overlaps > PROJECTOR_TOL, -1), "projectors {1} and {0} are not orthogonal"),
+            ([np.abs(stack.sum(axis=0) - np.eye(obs.subsystem_dim)).max() > PROJECTOR_TOL],
+             "projectors do not sum to the identity"),
+        )
+    for failed, message in checks:
+        # the first index, in row-major order, that fails this check
+        hits = np.argwhere(failed)
+        if len(hits):
+            raise NonProjective(message.format(*hits[0]))
+    return obs
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +458,8 @@ def observable_to_json(obs: Observable) -> dict:
 
 def observable_from_json(obj: dict) -> Observable:
     """Read an observable; malformed fields raise DimensionMismatch or
-    OutOfRange naming the field, and Observable checks the projectors."""
+    OutOfRange naming the field, and the observable's values go through
+    validate_observable."""
     dims = _json_dims(obj)
     sub = _json_int(_field(obj, "subsystem"), "'subsystem'")
     if not 0 <= sub < len(dims):
@@ -476,4 +474,4 @@ def observable_from_json(obj: dict) -> Observable:
         eigs = tuple(float(a) for a in raw)
     except (TypeError, ValueError):
         raise OutOfRange(f"'eigenvalues' must be numbers, got {raw!r}") from None
-    return Observable(projs, eigs, sub, dims)
+    return validate_observable(projs, eigs, sub, dims)

@@ -165,6 +165,8 @@ def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     if steps < 2:
         raise OutOfRange(f"need at least 2 grid points, got {steps}")
     phis = tuple(float(p) for p in spec.grid.get("phis", MU_PHIS))
+    if not phis:
+        raise OutOfRange("need at least one azimuthal angle")
     kinds = [parse_kind(t) for t in (spec.kinds or MU_KINDS)]
     stamp = spec.spec_hash()
     observables = [(phi, spin_observable(0.0, phi, subsystem=0, dims=(2, 2))) for phi in phis]

@@ -169,9 +169,11 @@ def _max_residuals(group, trials, seed) -> dict[str, float]:
 
 def run_verify(trials: int, seed: int) -> dict:
     """Run the whole identity suite; one row per identity.  A trial count
-    below 1 raises OutOfRange."""
+    below 1 or a negative seed raises OutOfRange."""
     if trials < 1:
         raise OutOfRange(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be at least 0, got {seed}")
     rows = []
     for offset, group in _GROUPS:
         for identity, residual in _max_residuals(group, trials, seed + offset).items():

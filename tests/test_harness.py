@@ -51,6 +51,11 @@ class TestKindParsing:
         tokens |= {"lp1.5", "renyi0.5", "srenyi2"}
         for token in tokens:
             assert parse_kind(token).token() == token
+        # a label shows the power, omitted when it is 1
+        assert [parse_kind(t).label() for t in ("tr", "hs", "lp3")] == ["tr", "hs^2", "lp3^3"]
+        assert [parse_kind(t).with_power(1).label() for t in ("hs", "bu", "lp3")] == [
+            "hs", "bu", "lp3"
+        ]
 
     def test_bad_token(self):
         for token in ("xx", "lpabc", "renyi"):
@@ -345,12 +350,13 @@ class TestCli:
         assert payload["pattern_match"] is False
         assert [m.get("axiom") for m in payload["mismatches"]] == ["axiom2a"]
 
-    def test_mu_without_angles_prints_the_header_only(self, capsys):
-        code = main(["mu", "--phi", ""])
+    @pytest.mark.parametrize("phi", ["", ","], ids=["empty", "comma"])
+    def test_mu_without_angles_exits_one(self, phi, capsys):
+        code = main(["mu", "--phi", phi])
         captured = capsys.readouterr()
-        assert code == 0
-        assert captured.out == "spec_hash,mu,phi,kind,r_value\n"
-        assert captured.err == ""
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "vqr: need at least one azimuthal angle\n"
 
     def test_werner_two_grid_points(self, capsys):
         code = main(["werner", "--eps-steps", "2"])
@@ -411,6 +417,24 @@ class TestCli:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"vqr: {name} must be at least 1")
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["verify", "--trials", "1", "--seed", "-1"], None),
+            (["audit", "--trials", "1", "--seed", "-1"], None),
+            (["verify", "--trials", "1"], "-1"),
+            (["audit", "--trials", "1"], "-1"),
+        ],
+    )
+    def test_negative_seed_exits_one(self, argv, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("VQR_SEED", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "vqr: seed must be at least 0, got -1\n"
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:

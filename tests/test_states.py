@@ -28,8 +28,10 @@ from vqr.states import (
     observable_to_json,
     random_density,
     random_observable,
+    random_observables,
     random_pure,
     spin_observable,
+    validate_observable,
     validate_state,
     werner,
 )
@@ -205,60 +207,78 @@ class TestObservableInvariants:
     def test_rejects_non_idempotent(self):
         half = np.eye(2) / 2
         with pytest.raises(NonProjective):
-            Observable((half, np.eye(2) - half), (1.0, -1.0), 0, (2,))
+            validate_observable((half, np.eye(2) - half), (1.0, -1.0), 0, (2,))
 
     def test_rejects_non_orthogonal(self):
         p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         p_mix = np.diag([1.0, 1.0, 0.0]).astype(complex)
         with pytest.raises(NonProjective):
-            Observable((p0, p_mix), (1.0, 2.0), 0, (3,))
+            validate_observable((p0, p_mix), (1.0, 2.0), 0, (3,))
 
     def test_rejects_incomplete(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(NonProjective):
-            Observable((p0,), (1.0,), 0, (2,))
+            validate_observable((p0,), (1.0,), 0, (2,))
 
     def test_rejects_duplicate_eigenvalues(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(NonProjective):
-            Observable((p0, p1), (1.0, 1.0), 0, (2,))
+            validate_observable((p0, p1), (1.0, 1.0), 0, (2,))
 
     def test_accepts_block_projectors(self):
         p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         p_block = np.diag([0.0, 1.0, 1.0]).astype(complex)
-        obs = Observable((p0, p_block), (0.0, 1.0), 0, (3,))
+        obs = validate_observable((p0, p_block), (0.0, 1.0), 0, (3,))
         assert obs.outcomes == 2
 
     def test_rejects_non_finite_projector(self):
         p0 = np.diag([1.0, np.nan]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(NonProjective, match="projector 0 has a non-finite entry"):
-            Observable((p0, p1), (1.0, -1.0), 0, (2,))
+            validate_observable((p0, p1), (1.0, -1.0), 0, (2,))
+
+    def test_constructor_checks_structure_only(self):
+        # Values are checked where projectors enter vqr, not on every
+        # observable vqr builds itself.
+        half = np.eye(2) / 2
+        obs = Observable((half, half), (1.0, 1.0), 0, (2,))
+        assert obs.outcomes == 2
+        assert not obs.projectors[0].flags.writeable
+        with pytest.raises(DimensionMismatch, match=r"projector 1 has shape \(3, 3\)"):
+            Observable((half, np.eye(3)), (1.0, -1.0), 0, (2,))
+        with pytest.raises(DimensionMismatch, match="need one eigenvalue per projector"):
+            Observable((half, half), (1.0,), 0, (2,))
 
     @pytest.mark.parametrize(
         "diagonals, error, message",
         [
-            # NaN in projector 1 beats projector 2 failing idempotency
+            # each check runs over the whole stack before the next: NaN in
+            # projector 1 beats projector 2 failing idempotency
             ([(1, 0, 0), (0, np.nan, 0), (0, 0, 0.5)], NonProjective,
              "projector 1 has a non-finite entry"),
-            # projector 1's own checks come before the overlap of 0 and 2
+            # idempotency comes before the overlap of 0 and 2
             ([(1, 0, 0), (0, 0.5, 0), (1, 0, 0)], NonProjective, "projector 1 is not idempotent"),
             # of two overlapping pairs, the lower index is named
             ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], NonProjective,
              "projectors 0 and 2 are not orthogonal"),
-            # a bad shape at 2 comes before 2's values and the completeness check
+            # structure is checked before any value: a bad shape at 2 comes
+            # before 2's values and the completeness check
             ([(1, 0, 0), (0, 0, 0), (np.nan,) * 4], DimensionMismatch,
              r"projector 2 has shape \(4, 4\)"),
-            # but after the values of the projectors ahead of it
-            ([(np.nan, 0, 0), (0, 1, 0), (0,) * 4], NonProjective,
-             "projector 0 has a non-finite entry"),
+            # and before the values of the projectors ahead of it
+            ([(np.nan, 0, 0), (0, 1, 0), (0,) * 4], DimensionMismatch,
+             r"projector 2 has shape \(4, 4\)"),
+            # a later projector's non-finite entry beats an earlier
+            # projector failing idempotency
+            ([(0.5, 0, 0), (0, np.nan, 0), (0, 0, 1)], NonProjective,
+             "projector 1 has a non-finite entry"),
         ],
     )
     def test_first_failure_in_projector_order(self, diagonals, error, message):
         projectors = [np.diag(np.array(diag, dtype=complex)) for diag in diagonals]
         with pytest.raises(error, match=message):
-            Observable(projectors, (0.0, 1.0, 2.0), 0, (3,))
+            validate_observable(projectors, (0.0, 1.0, 2.0), 0, (3,))
 
     @pytest.mark.parametrize(
         "eigenvalues", [(np.nan, 1.0), (np.nan, np.nan), (1.0, np.inf)]
@@ -267,7 +287,24 @@ class TestObservableInvariants:
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(OutOfRange, match="eigenvalues must be finite"):
-            Observable((p0, p1), eigenvalues, 0, (2,))
+            validate_observable((p0, p1), eigenvalues, 0, (2,))
+
+    def test_constructors_yield_valid_observables(self):
+        # vqr's own constructors skip the value checks, so their outputs
+        # must pass them.
+        built = [spin_observable(theta, phi, subsystem, (2, 2))
+                 for theta, phi in ((0.0, 0.0), (0.7, 0.4), (2.5, np.pi / 2), (-1.0, np.pi))
+                 for subsystem in (0, 1)]
+        built += [computational_observable(d, subsystem, dims)
+                  for d, subsystem, dims in ((2, 0, None), (3, 0, None), (2, 1, (3, 2)),
+                                             (3, 1, (2, 3, 2)), (4, 2, (2, 2, 4)))]
+        built += random_observables([(d, seed, 1, (2, d)) for d in (2, 3, 5)
+                                     for seed in (4, 9, 31)])
+        built += [obs.scoped((3, obs.subsystem_dim), 1) for obs in built]
+        for obs in built:
+            revalidated = validate_observable(obs.projectors, obs.eigenvalues, obs.subsystem,
+                                              obs.dims)
+            assert revalidated.dims == obs.dims
 
     @pytest.mark.parametrize(
         "theta, phi, name",
@@ -453,6 +490,12 @@ class TestJsonWireFormat:
     )
     def test_malformed_observable_json_names_the_field(self, obj, error, field):
         with pytest.raises(error, match=field):
+            observable_from_json(obj)
+
+    def test_observable_values_are_validated(self):
+        half = {"entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+        obj = {**OBSERVABLE_JSON, "projectors": [half, half]}
+        with pytest.raises(NonProjective, match="projector 0 is not idempotent"):
             observable_from_json(obj)
 
     def test_observable_roundtrip(self):
