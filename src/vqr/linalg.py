@@ -81,9 +81,11 @@ def scalar_power(x, e: float) -> np.ndarray:
 
     The vectorized power (SIMD on some CPUs) rounds some values differently
     from the scalar pow, so a stack would not give the bits of its members
-    computed one at a time.
+    computed one at a time.  At e = 1 it returns a copy, since t ** 1.0 is t.
     """
     x = np.asarray(x, dtype=float)
+    if e == 1.0:
+        return x.copy()
     return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
 
 

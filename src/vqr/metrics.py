@@ -15,6 +15,7 @@ an operand with an eigenvalue below -TAU_PSD raises DomainError.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -262,23 +263,45 @@ def powered_distance(kind: DistanceKind, rho, sigma) -> float:
 def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
     """powered_distance of each kind between the complex matrices r and s,
     or between the members of two (N, d, d) stacks: a float per kind for one
-    pair, a list of N floats per kind for stacks.  Each native distance is
-    computed once, the Schatten orders from one SVD of s - r and Bures and
-    Hellinger from one root product, and raised to each exponent."""
-    root = _root_product(r, s) if any(k.family in ("bu", "he") for k in kinds) else None
-    singular = None
-    natives = {}
-    for kind in kinds:
+    pair, a list of N floats per kind for stacks."""
+    distances = _Distances(r, s)
+    return [distances.powered(kind).tolist() for kind in kinds]
+
+
+class _Distances:
+    """The powered distances between the complex matrices r and s, or
+    between the members of two (N, d, d) stacks.  Each intermediate is
+    computed on first use and kept, so kinds asked for later, in this call
+    or another, reuse it: the SVD of s - r, which every Schatten order
+    reads, the root product, which Bures and Hellinger read, and each
+    native distance, which is raised to each kind's exponent."""
+
+    def __init__(self, r: np.ndarray, s: np.ndarray):
+        self.r, self.s = r, s
+        self._natives = {}
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        return _root_product(self.r, self.s)
+
+    @functools.cached_property
+    def singular(self) -> np.ndarray:
+        return np.linalg.svd(self.s - self.r, compute_uv=False)
+
+    def _native(self, kind: DistanceKind) -> np.ndarray:
         key = kind.family, kind.p
-        if key in natives:
-            continue
-        if kind.family in ("bu", "he"):
-            natives[key] = _root_distance_sq(kind.family, root)
-        else:
-            if singular is None:
-                singular = np.linalg.svd(s - r, compute_uv=False)
-            natives[key] = linalg.schatten_from_singular_values(singular, kind.schatten_p)
-    return [linalg.scalar_power(natives[k.family, k.p], _exponent(k)).tolist() for k in kinds]
+        if key not in self._natives:
+            if kind.family in ("bu", "he"):
+                self._natives[key] = _root_distance_sq(kind.family, self.root)
+            else:
+                self._natives[key] = linalg.schatten_from_singular_values(
+                    self.singular, kind.schatten_p)
+        return self._natives[key]
+
+    def powered(self, kind: DistanceKind) -> np.ndarray:
+        """powered_distance of the kind: 0-d for one pair, N values for
+        stacks."""
+        return linalg.scalar_power(self._native(kind), _exponent(kind))
 
 
 def _stacked(values, kinds, pairs) -> list[tuple]:

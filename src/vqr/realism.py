@@ -10,14 +10,15 @@ dilation and R_max is attained at a maximally entangled system state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import channels, metrics
 from .errors import DimensionMismatch, InvalidOrder
-from .metrics import VON_NEUMANN, DistanceKind, Kind
+from .metrics import VON_NEUMANN, DistanceKind, DivergenceKind, Kind
 from .states import DensityMatrix, Observable, computational_observable, max_entangled
 
 # Measured information gains above this count as a detected violation.
@@ -145,53 +146,77 @@ def conditional_information_geometric(
 
 def _entropic(kind: Kind) -> bool:
     """True for von Neumann, False for a distance; the Renyi divergences
-    have no realism recipe and raise InvalidOrder."""
+    have no realism recipe and raise InvalidOrder, as does anything that is
+    not a kind."""
+    if not isinstance(kind, (DistanceKind, DivergenceKind)):
+        raise InvalidOrder(
+            f"a realism kind is a DistanceKind or a DivergenceKind, got "
+            f"{type(kind).__name__} {kind!r}; metrics.parse_kind reads a token such as 'tr'")
     if not isinstance(kind, DistanceKind) and kind != VON_NEUMANN:
         raise InvalidOrder(f"no realism recipe for divergence {kind.token()}")
     return kind == VON_NEUMANN
 
 
-def _stacked_deltas(rhos: np.ndarray, phis: np.ndarray, d_e: int, kinds) -> list[np.ndarray]:
-    """The gain of each kind for each (rho, Phi(rho)) pair of two (N, d, d)
-    stacks with d_E outcomes: one array of N values per kind.  Each is a
-    closed form in distances from metrics._powered_distances: tr and the
-    L_p orders read d(rho, Phi/d_E) from one call, whose SVD they share,
-    and hs, bu and he read d(rho, Phi) from another.  The L_p block formula
+class _Gains:
+    """The closed-form gains of two (N, d, d) stacks, rho and Phi(rho), with
+    d_E outcomes.  Each intermediate is computed on first use and kept, so a
+    kind reads only what it needs and later kinds reuse it: tr and the L_p
+    orders read d(rho, Phi/d_E), whose SVD they share, and hs, bu and he
+    read d(rho, Phi), hs its SVD and bu and he its root product.  The L_p
+    block formula
 
         I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
         I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
 
     also reads ||Phi||_p^p and ||rho||_p^p, the distances from 0."""
-    scaled = [kind for kind in kinds if kind != VON_NEUMANN and kind.family in ("tr", "lp")]
-    direct = [kind for kind in kinds if kind != VON_NEUMANN and kind.family in ("hs", "bu", "he")]
-    orders = [kind for kind in scaled if kind.family == "lp"]
-    distances = {}
-    if scaled:
-        distances.update(zip(scaled, metrics._powered_distances(scaled, rhos, phis / d_e)))
-    if direct:
-        distances.update(zip(direct, metrics._powered_distances(direct, rhos, phis)))
-    if orders:
-        zero = np.zeros_like(rhos)
-        norms_phi = dict(zip(orders, metrics._powered_distances(orders, zero, phis)))
-        norms_rho = dict(zip(orders, metrics._powered_distances(orders, zero, rhos)))
-    columns = []
-    for kind in kinds:
+
+    def __init__(self, rhos: np.ndarray, phis: np.ndarray, d_e: int):
+        self.rhos, self.phis, self.d_e = rhos, phis, d_e
+
+    @cached_property
+    def _scaled(self) -> metrics._Distances:
+        return metrics._Distances(self.rhos, self.phis / self.d_e)
+
+    @cached_property
+    def _direct(self) -> metrics._Distances:
+        return metrics._Distances(self.rhos, self.phis)
+
+    @cached_property
+    def _norms(self) -> tuple[metrics._Distances, metrics._Distances]:
+        zero = np.zeros_like(self.rhos)
+        return metrics._Distances(zero, self.phis), metrics._Distances(zero, self.rhos)
+
+    @cached_property
+    def _entropy_gain(self) -> np.ndarray:
+        return metrics._entropies(self.phis) - metrics._entropies(self.rhos)
+
+    def column(self, kind: Kind) -> np.ndarray:
+        """The gain of a kind with a closed form for each pair: N values."""
         if kind == VON_NEUMANN:
-            columns.append(metrics._entropies(phis) - metrics._entropies(rhos))
-            continue
-        d = np.array(distances[kind])
+            return self._entropy_gain
+        d_e = self.d_e
+        d = (self._scaled if kind.family in ("tr", "lp") else self._direct).powered(kind)
         if kind.family == "tr":
-            columns.append(d - (d_e - 1) / d_e)
-        elif kind.family == "hs":
-            columns.append(d / d_e)
-        elif kind.family in ("bu", "he"):
-            columns.append(d / np.sqrt(d_e))
-        else:
-            p = kind.p
-            i_t = d + (d_e - 1) / d_e**p * np.array(norms_phi[kind])
-            i_0 = np.array(norms_rho[kind]) * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
-            columns.append(i_t - i_0)
-    return columns
+            return d - (d_e - 1) / d_e
+        if kind.family == "hs":
+            return d / d_e
+        if kind.family in ("bu", "he"):
+            return d / np.sqrt(d_e)
+        p = kind.p
+        norms_phi, norms_rho = (norms.powered(kind) for norms in self._norms)
+        i_t = d + (d_e - 1) / d_e**p * norms_phi
+        i_0 = norms_rho * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
+        return i_t - i_0
+
+
+# The last _deltas call: the identities of its (rho, A) pairs, the pairs,
+# and the members and _Gains of each group.  Per-kind calls on one pair
+# share the group's intermediates through it.  DensityMatrix and Observable
+# are frozen and hold read-only copies, so an identity names one value; the
+# entry holds the pairs, so their identities cannot be reused while it is
+# kept.  A call reads the entry once, so another thread replacing it does
+# not change the workspaces the call uses.
+_last_call = None
 
 
 def _deltas(pairs, kinds) -> list[list[float]]:
@@ -199,24 +224,39 @@ def _deltas(pairs, kinds) -> list[list[float]]:
     one list per pair, in input order.  Pairs that share the matrix
     dimension and the outcome count (a scalar in every formula) are
     evaluated as one stack, from one Phi(rho) per pair; each pair gets the
-    bits it would get on its own.  A distance kind at other than its
-    default power raises InvalidOrder: the closed forms hold only there."""
+    bits it would get on its own.  The stacks and their intermediates are
+    kept until the next call, which reuses them when it is on the same
+    pairs.  A distance kind at other than its default power raises
+    InvalidOrder: the closed forms hold only there."""
+    global _last_call
     for kind in kinds:
-        default = kind if _entropic(kind) else DistanceKind(kind.family, kind.p)
-        if kind != default:
+        if _entropic(kind):
+            continue
+        default = metrics._DEFAULT_POWER.get(kind.family, kind.p)
+        if kind.power != default:
             raise InvalidOrder(
                 f"no closed form for {kind.label()} (power {kind.power:g}): "
-                f"{kind.token()} takes only power {default.power:g}; "
+                f"{kind.token()} takes only power {default:g}; "
                 "delta_conditional_information_dilated takes any power")
-    groups = {}
-    for i, (rho, a) in enumerate(pairs):
+    for rho, a in pairs:
         channels._require_same_space(rho, a)
-        groups.setdefault((rho.dim, a.outcomes), []).append(i)
+    key = [(id(rho), id(a)) for rho, a in pairs]
+    last = _last_call
+    if last is None or last[0] != key:
+        last = _last_call = None  # free the old workspaces first, for a lower peak memory
+        groups = {}
+        for i, (rho, a) in enumerate(pairs):
+            groups.setdefault((rho.dim, a.outcomes), []).append(i)
+        workspaces = [
+            (members, _Gains(
+                np.stack([pairs[i][0].matrix for i in members]),
+                np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members]),
+                d_e))
+            for (_, d_e), members in groups.items()]
+        last = _last_call = key, tuple(pairs), workspaces
     deltas = [None] * len(pairs)
-    for (_, d_e), members in groups.items():
-        rhos = np.stack([pairs[i][0].matrix for i in members])
-        phis = np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members])
-        columns = [column.tolist() for column in _stacked_deltas(rhos, phis, d_e, kinds)]
+    for members, gains in last[2]:
+        columns = [gains.column(kind).tolist() for kind in kinds]
         for j, i in enumerate(members):
             deltas[i] = [column[j] for column in columns]
     return deltas
@@ -234,6 +274,12 @@ def delta_conditional_information(
     formula; von Neumann the irrealism S(Phi(rho)) - S(rho).  Each
     distance takes its default power (tr 1, hs, bu and he 2, lp<p> p);
     another power raises InvalidOrder.
+
+    Per-kind calls on one (rho, a) share their intermediates (Phi(rho),
+    the SVDs, the root product): the workspace of the last call is kept,
+    on the identities of rho and a, until a call on other objects replaces
+    it.  The inputs must stay unmodified for that, which their read-only
+    arrays ensure.
     """
     return _deltas([(rho, a)], [kind])[0][0]
 
@@ -258,49 +304,66 @@ def delta_conditional_information_dilated(
     return _dilated_deltas(rho, a, [kind])[0]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
+def _maximal_pair(d_e: int) -> tuple[DensityMatrix, Observable]:
+    """The maximally entangled pair on (d_E, d_E) and the computational
+    observable on its first subsystem, built once for the last d_E, so
+    that consecutive kinds at one d_E are _deltas calls on one pair and
+    share its workspace."""
+    return max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e))
+
+
+@lru_cache(maxsize=256, typed=True)
 def realism_max(kind: Kind, d_e: int) -> float:
     """Largest attainable information gain for a d_E-outcome observable,
     realized by a maximally entangled pair measured in the computational
     basis.  For the von Neumann kind this is ln d_E.  Memoized on
-    (kind, d_e); invalid inputs still raise on every call.  The state route
-    stays because closed forms round differently (1e-16 for an exact 0)
-    and would change the sweep tables.
+    (kind, d_e) and their types, so 2.0 does not find the entry of 2;
+    invalid inputs still raise on every call.  The state route stays
+    because closed forms round differently (1e-16 for an exact 0) and would
+    change the sweep tables.
     """
+    if not isinstance(d_e, numbers.Integral):
+        raise DimensionMismatch(f"outcome count must be an integer, got {d_e!r}")
     if d_e < 2:
         raise DimensionMismatch(f"observable needs >= 2 outcomes, got {d_e}")
     if _entropic(kind):
         return float(np.log(d_e))
-    rho = max_entangled(d_e)
-    obs = computational_observable(d_e, 0, (d_e, d_e))
-    return delta_conditional_information(rho, obs, kind)
+    return _deltas([_maximal_pair(d_e)], [kind])[0][0]
 
 
 def _reports(pairs, kinds) -> list[list[RealismReport]]:
     """realism of each kind for each (rho, A) pair, from one _deltas pass
-    over all the pairs: one list per pair, in input order."""
-    reports = []
-    for (_, a), deltas in zip(pairs, _deltas(pairs, kinds)):
-        row = []
-        for kind, delta in zip(kinds, deltas):
-            r_max = realism_max(kind, a.outcomes)
-            row.append(
-                RealismReport(
-                    kind=kind,
-                    r_value=r_max - delta,
-                    r_max=r_max,
-                    delta_i=delta,
-                    vqr_detected=bool(delta > TOL_VQR),
-                )
+    over all the pairs: one list per pair, in input order.  R_max is read
+    first: a realism_max miss is a _deltas call on the maximal pair, which
+    would replace the workspace of these pairs before a next per-kind call
+    on them could reuse it."""
+    r_maxes = [[realism_max(kind, a.outcomes) for kind in kinds] for _, a in pairs]
+    return [
+        [
+            RealismReport(
+                kind=kind,
+                r_value=r_max - delta,
+                r_max=r_max,
+                delta_i=delta,
+                vqr_detected=bool(delta > TOL_VQR),
             )
-        reports.append(row)
-    return reports
+            for kind, r_max, delta in zip(kinds, row_maxes, deltas)
+        ]
+        for row_maxes, deltas in zip(r_maxes, _deltas(pairs, kinds))
+    ]
 
 
 def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
     """Realism report R = R_max - Delta I for the given kind.
 
     A violation of quantum realism is detected when the information gain
-    exceeds TOL_VQR, i.e. when R falls short of R_max.
+    exceeds TOL_VQR, i.e. when R falls short of R_max.  Per-kind calls on
+    one (rho, a) share their intermediates, as delta_conditional_information
+    describes: the last call's workspace is kept until the next call, so
+    the inputs must stay unmodified, which their read-only arrays ensure.
+    A realism_max miss is itself such a call, on the maximal pair; R_max is
+    read before the gains, so a miss replaces the workspace of earlier
+    calls, never that of its own call.
     """
     return _reports([(rho, a)], [kind])[0][0]

@@ -1,5 +1,9 @@
+import gc
 import json
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -299,10 +303,15 @@ class TestRealismMax:
                 best_value, psi = value, trial
 
     def test_rejects_small_outcome_count(self):
-        # twice: the memo must not swallow the second raise
+        # twice: the memo must not swallow the second raise; 2.0 after 2:
+        # the memo must not answer a float from the entry of the int
+        realism_max(TRACE, 2)
         for _ in range(2):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(DimensionMismatch, match=">= 2 outcomes"):
                 realism_max(TRACE, 1)
+            for d_e in (2.0, 2.5):
+                with pytest.raises(DimensionMismatch, match="must be an integer"):
+                    realism_max(TRACE, d_e)
 
 
 @pytest.mark.parametrize("token", ["tr", "hs", "bu", "he", "lp1.5", "vn"])
@@ -422,17 +431,11 @@ class TestClosedFormRoute:
     tr and the L_p orders share one SVD of Phi/d_E - rho, hs one of
     Phi - rho, and ||Phi||_p^p and ||rho||_p^p one SVD each."""
 
-    def test_one_stack_of_tr_hs_and_two_lp_orders_takes_four_svds(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
-
+    def test_one_stack_of_tr_hs_and_two_lp_orders_takes_four_svds(self, linalg_counts):
+        calls = linalg_counts.shapes["svd"]
         pairs = [random_instance(9800 + 3 * i, 0) for i in range(5)]
         kinds = [parse_kind(token) for token in ("tr", "hs", "lp1.5", "lp3")]
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        linalg_counts.reset()
         _deltas(pairs, kinds)
         assert calls == [(5, 4, 4)] * 4
 
@@ -477,6 +480,106 @@ def test_renyi_divergences_have_no_realism_recipe(kind):
     ):
         with pytest.raises(InvalidOrder, match="no realism recipe"):
             call()
+
+
+def test_a_token_is_not_a_kind():
+    rho = werner(0.5)
+    for call in (
+        lambda: realism(rho, SIGMA_Z_ON_FIRST, "tr"),
+        lambda: realism_max("tr", 2),
+        lambda: delta_conditional_information_dilated(rho, SIGMA_Z_ON_FIRST, "tr"),
+    ):
+        with pytest.raises(InvalidOrder, match="got str 'tr'; metrics.parse_kind"):
+            call()
+
+
+class TestPerKindCallsShareOnePass:
+    """Per-kind calls on one (rho, A) pair reuse the intermediates of the
+    last _deltas call, so they do the spectral work of one multi-kind call
+    and give its bits."""
+
+    TOKENS = ("tr", "hs", "bu", "he", "vn")
+
+    @staticmethod
+    def pair(seed, d=8):
+        rho = random_density(d * d, d * d, seed, dims=(d, d))
+        return rho, random_observable(d, seed + 1, 0, (d, d))
+
+    def test_five_one_kind_calls_do_the_work_of_one_multi_kind_call(self, linalg_counts):
+        kinds = [parse_kind(token) for token in self.TOKENS]
+        rho, obs = self.pair(31)
+        twin = DensityMatrix(rho.matrix, rho.dims)  # equal values, another identity
+        for kind in kinds:
+            realism_max(kind, obs.outcomes)
+        linalg_counts.reset()
+        one_kind = [realism(rho, obs, kind) for kind in kinds]
+        per_kind_counts = linalg_counts.calls(), linalg_counts.matrices()
+        linalg_counts.reset()
+        multi_kind = _reports([(twin, obs)], kinds)[0]
+        assert per_kind_counts == (linalg_counts.calls(), linalg_counts.matrices())
+        assert per_kind_counts[0]["eigh"] > 0
+        assert one_kind == multi_kind
+
+    def test_interleaved_pairs_give_the_same_values(self):
+        kinds = [parse_kind(token) for token in self.TOKENS]
+        a, b = self.pair(41), self.pair(43)
+        expected = {
+            name: _deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+            for name, (rho, obs) in (("a", a), ("b", b))}
+        for name, (rho, obs) in (("a", a), ("b", b), ("a", a)):
+            assert [delta_conditional_information(rho, obs, kind) for kind in kinds] == (
+                expected[name])
+
+    def test_the_memo_keeps_the_last_call_only(self):
+        rho_a, obs_a = self.pair(51, d=2)
+        rho_b, obs_b = self.pair(53, d=2)
+        realism(rho_a, obs_a, BURES)
+        seen = weakref.ref(rho_a)
+        realism(rho_b, obs_b, BURES)
+        del rho_a
+        gc.collect()
+        assert seen() is None
+
+    def test_threads_sharing_the_memo_get_their_own_values(self):
+        kinds = [parse_kind(token) for token in self.TOKENS]
+        pairs = [self.pair(71 + 2 * i, d=2) for i in range(4)]
+        expected = [_deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+                    for rho, obs in pairs]
+        wrong = []
+
+        def work(n):
+            for i in range(60):
+                k = (n + i) % len(pairs)
+                rho, obs = pairs[k]
+                if [delta_conditional_information(rho, obs, kind) for kind in kinds] != (
+                        expected[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_cold_realism_max_miss_keeps_the_root_product(self, linalg_counts):
+        # R_max is read before the gains, so the miss inside the first call,
+        # a _deltas call on the maximal pair, does not replace the workspace
+        # that the second call reuses.
+        rho = random_density(8, 8, 61, dims=(4, 2))
+        obs = random_observable(4, 62, 0, (4, 2))
+        realism_max.cache_clear()
+        realism_max(HELLINGER, obs.outcomes)
+        realism(rho, obs, BURES)  # its R_max misses
+        linalg_counts.reset()
+        realism(rho, obs, HELLINGER)
+        assert linalg_counts.calls()["eigh"] == 0
 
 
 class TestRealismReport:
