@@ -15,13 +15,10 @@ the cell as a known deviation from the nominal table.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import metrics
 from .channels import has_reality, measure_nonselective, monitor
-from .errors import OutOfRange
 from .metrics import expected_distance_properties
 from .realism import TOL_VQR, _deltas, realism_max
 from .states import (
@@ -93,15 +90,8 @@ _SUM_TOL = 1e-9
 
 
 def _bipartite_instances(seed, block):
-    """Trial i's (rho, A) for each i of the block, drawn at seed + i, with
-    the block's observables drawn in one call."""
-    dims = [[(2, 2), (2, 3), (3, 2)][i % 3] for i in block]
-    observables = random_observables(
-        (d[0], seed + i + 50021, 0, d) for i, d in zip(block, dims))
-    return [
-        (random_density(math.prod(d), math.prod(d) - (i % 2), seed + i, dims=d), a)
-        for i, d, a in zip(block, dims, observables)
-    ]
+    """Trial i's (rho, A) at dims (2, 2), (2, 3) or (3, 2) by i % 3."""
+    return metrics._random_instances(seed, block, [[(2, 2), (2, 3), (3, 2)][i % 3] for i in block])
 
 
 def _monitoring_chain(rho, a, label, probe_seed):
@@ -160,16 +150,11 @@ def _axiom2a_cases(seed, trials):
 
     dimsets = [(2, 2, 2), (3, 2, 2), (2, 3, 2)]
     for block in metrics._trial_blocks(range(trials)):
-        observables = random_observables(
-            (dimsets[i % 3][0], seed + i + 50021, 0, dimsets[i % 3]) for i in block)
-        for i, a in zip(block, observables):
-            s = seed + i
-            dims = dimsets[i % 3]
-            d = math.prod(dims)
-            rho = random_density(d, d - (i % 2), s, dims=dims)
-            label = f"random tripartite state, dims {dims} (trial {i})"
-            small = (rho.reduced((0, 1)), a.scoped(dims[:2], 0))
-            yield s, _bystander(label, small, (rho, a))
+        instances = metrics._random_instances(seed, block, [dimsets[i % 3] for i in block])
+        for i, (rho, a) in zip(block, instances):
+            label = f"random tripartite state, dims {rho.dims} (trial {i})"
+            small = (rho.reduced((0, 1)), a.scoped(rho.dims[:2], 0))
+            yield seed + i, _bystander(label, small, (rho, a))
 
 
 def _axiom2b_cases(seed, trials):
@@ -290,7 +275,9 @@ def _cell_row(kind_token: str, axiom: str, witness, witness_seed) -> dict:
 
 
 def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
-    """Audit a single (kind, axiom) cell and return its row."""
+    """Audit a single (kind, axiom) cell and return its row.  A trial count
+    below 1 or a negative seed raises OutOfRange."""
+    metrics._require_trials(seed, trials=trials)
     return _cell_row(kind_token, axiom, *_first_witnesses(axiom, [kind_token], trials, seed)[0])
 
 
@@ -311,7 +298,9 @@ PROPERTY_COLUMNS = (
 
 def run_property_table(trials: int, seed: int) -> list[dict]:
     """Audit the distance-property pattern for each tabulated column; each
-    probe is drawn once and evaluated for every column."""
+    probe is drawn once and evaluated for every column.  A trial count
+    below 1 or a negative seed raises OutOfRange."""
+    metrics._require_trials(seed, trials=trials)
     kinds = [metrics.parse_kind(token).with_power(power) for token, power in PROPERTY_COLUMNS]
     rows = []
     for kind, reports in zip(kinds, metrics._property_reports(kinds, trials, seed)):
@@ -338,11 +327,7 @@ def run_audit(trials: int, seed: int, property_trials: int | None = None) -> dic
     """
     if property_trials is None:
         property_trials = trials
-    for name, count in (("trials", trials), ("property_trials", property_trials)):
-        if count < 1:
-            raise OutOfRange(f"{name} must be at least 1, got {count}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be at least 0, got {seed}")
+    metrics._require_trials(seed, trials=trials, property_trials=property_trials)
     cells = {
         (token, axiom): _cell_row(token, axiom, *found)
         for axiom in AXIOMS

@@ -8,6 +8,7 @@ global state.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     InvalidOrder,
     NotHermitian,
     NumericalFailure,
+    OutOfRange,
 )
 
 # Hermiticity check: max entrywise |m - m^dag|.
@@ -42,6 +44,15 @@ def as_square(m) -> np.ndarray:
     return arr
 
 
+def as_index(value, name: str) -> int:
+    """An integer, such as a dimension, by operator.index: anything else,
+    2.5 or 2.0 too, raises DimensionMismatch naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+
+
 def as_stack(m) -> np.ndarray:
     """Coerce to a complex ndarray of square matrices, one (d, d) or a stack
     (..., d, d), without reshaping."""
@@ -56,7 +67,8 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
 
 
 def _defect(arr: np.ndarray, adjoint: np.ndarray) -> float:
-    return float(np.abs(arr - adjoint).max()) if arr.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: a nan defect
+        return float(np.abs(arr - adjoint).max()) if arr.size else 0.0
 
 
 def hermiticity_defect(m) -> float:
@@ -67,11 +79,14 @@ def hermiticity_defect(m) -> float:
 
 def require_hermitian(m) -> np.ndarray:
     """The Hermitian part of m, or of each member of a stack; NotHermitian
-    when the largest defect in the stack is above TAU_HERM."""
+    when the largest defect in the stack is above TAU_HERM, OutOfRange when
+    it is not finite, which any non-finite entry makes it."""
     arr = as_stack(m)
     adjoint = _adjoint(arr)
     defect = _defect(arr, adjoint)
-    if defect > TAU_HERM:
+    if not defect <= TAU_HERM:
+        if not math.isfinite(defect):
+            raise OutOfRange("matrix has a non-finite entry")
         raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > {TAU_HERM:.1e})", defect)
     return (arr + adjoint) / 2
 
@@ -192,7 +207,7 @@ def hermitian_eig(m) -> EigenDecomposition:
 
     recon = (v * w[..., None, :]) @ _adjoint(v)
     tol_eig = EIG_TOL_PER_DIM * h.shape[-1]
-    if np.any(_frobenius(recon - h) > tol_eig * np.maximum(1.0, _frobenius(h))):
+    if not np.all(_frobenius(recon - h) <= tol_eig * np.maximum(1.0, _frobenius(h))):
         raise NumericalFailure("eigendecomposition failed reconstruction check")
     return EigenDecomposition(w, v)
 
@@ -280,7 +295,7 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     subsystems stay in ascending index order.
     """
     arr = as_square(m)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_index(d, "dims entry") for d in dims)
     if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not factor a {arr.shape[0]}-dim matrix"

@@ -176,6 +176,8 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     r, s = _mat(rho), _mat(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"operands have shapes {r.shape} and {s.shape}")
+    if not (np.isfinite(r).all() and np.isfinite(s).all()):
+        raise OutOfRange("operand has a non-finite entry")
     return r, s
 
 
@@ -312,6 +314,26 @@ def _stacked(values, kinds, pairs) -> list[tuple]:
         return list(zip(*values(kinds, stack[:, 0], stack[:, 1])))
 
     return linalg.stackwise(evaluate, [np.array(pair, dtype=complex) for pair in pairs])
+
+
+def _require_trials(seed: int, **counts: int) -> None:
+    """OutOfRange for a trial count below 1, named by its keyword, or for a
+    negative seed: the rule of every check's entry point."""
+    for name, count in counts.items():
+        if count < 1:
+            raise OutOfRange(f"{name} must be at least 1, got {count}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be at least 0, got {seed}")
+
+
+def _random_instances(seed, block, dims) -> list[tuple]:
+    """The (rho, A) of each trial i of a block at its dims: rho drawn at
+    seed + i with rank d - i % 2, and A on subsystem 0 at seed + i + 50021,
+    the block's observables in one call."""
+    observables = random_observables(
+        (d[0], seed + i + 50021, 0, d) for i, d in zip(block, dims))
+    return [(random_density(math.prod(d), math.prod(d) - (i % 2), seed + i, dims=d), a)
+            for i, d, a in zip(block, dims, observables)]
 
 
 def _trial_blocks(trials):
@@ -604,7 +626,9 @@ def check_distance_properties(
 ) -> list[PropertyReport]:
     """Empirically test positive definiteness, unitary invariance, joint
     convexity and contractivity of `kind` at its configured power, over
-    seeded random instances plus structured probes."""
+    seeded random instances plus structured probes.  A trial count below 1
+    or a negative seed raises OutOfRange."""
+    _require_trials(seed, trials=trials)
     return _property_reports([kind], trials, seed)[0]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -191,9 +191,16 @@ class _Gains:
         return metrics._entropies(self.phis) - metrics._entropies(self.rhos)
 
     def column(self, kind: Kind) -> np.ndarray:
-        """The gain of a kind with a closed form for each pair: N values."""
-        if kind == VON_NEUMANN:
+        """The gain of a kind for each pair: N values.  A distance kind at other
+        than its default power raises InvalidOrder: no closed form holds there."""
+        if _entropic(kind):
             return self._entropy_gain
+        default = metrics._DEFAULT_POWER.get(kind.family, kind.p)
+        if kind.power != default:
+            raise InvalidOrder(
+                f"no closed form for {kind.label()} (power {kind.power:g}): "
+                f"{kind.token()} takes only power {default:g}; "
+                "delta_conditional_information_dilated takes any power")
         d_e = self.d_e
         d = (self._scaled if kind.family in ("tr", "lp") else self._direct).powered(kind)
         if kind.family == "tr":
@@ -226,18 +233,8 @@ def _deltas(pairs, kinds) -> list[list[float]]:
     evaluated as one stack, from one Phi(rho) per pair; each pair gets the
     bits it would get on its own.  The stacks and their intermediates are
     kept until the next call, which reuses them when it is on the same
-    pairs.  A distance kind at other than its default power raises
-    InvalidOrder: the closed forms hold only there."""
+    pairs."""
     global _last_call
-    for kind in kinds:
-        if _entropic(kind):
-            continue
-        default = metrics._DEFAULT_POWER.get(kind.family, kind.p)
-        if kind.power != default:
-            raise InvalidOrder(
-                f"no closed form for {kind.label()} (power {kind.power:g}): "
-                f"{kind.token()} takes only power {default:g}; "
-                "delta_conditional_information_dilated takes any power")
     for rho, a in pairs:
         channels._require_same_space(rho, a)
     key = [(id(rho), id(a)) for rho, a in pairs]
@@ -304,41 +301,50 @@ def delta_conditional_information_dilated(
     return _dilated_deltas(rho, a, [kind])[0]
 
 
-@lru_cache(maxsize=1)
-def _maximal_pair(d_e: int) -> tuple[DensityMatrix, Observable]:
-    """The maximally entangled pair on (d_E, d_E) and the computational
-    observable on its first subsystem, built once for the last d_E, so
-    that consecutive kinds at one d_E are _deltas calls on one pair and
-    share its workspace."""
-    return max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e))
+# R_max of each (kind, d_E) evaluated so far, cleared when it is full.
+# Threads that race on a miss each evaluate it, to the same bits.
+_rmax_table = {}
 
 
-@lru_cache(maxsize=256, typed=True)
-def realism_max(kind: Kind, d_e: int) -> float:
-    """Largest attainable information gain for a d_E-outcome observable,
-    realized by a maximally entangled pair measured in the computational
-    basis.  For the von Neumann kind this is ln d_E.  Memoized on
-    (kind, d_e) and their types, so 2.0 does not find the entry of 2;
-    invalid inputs still raise on every call.  The state route stays
-    because closed forms round differently (1e-16 for an exact 0) and would
-    change the sweep tables.
-    """
+def _realism_maxes(kinds, d_e: int) -> list[float]:
+    """realism_max of each kind at d_E.  The kinds missing from the table
+    are evaluated together on one maximally entangled pair measured in the
+    computational basis, whose intermediates are dropped on return; ln d_E
+    for von Neumann.  An invalid d_E or kind raises on every call."""
     if not isinstance(d_e, numbers.Integral):
         raise DimensionMismatch(f"outcome count must be an integer, got {d_e!r}")
     if d_e < 2:
         raise DimensionMismatch(f"observable needs >= 2 outcomes, got {d_e}")
-    if _entropic(kind):
-        return float(np.log(d_e))
-    return _deltas([_maximal_pair(d_e)], [kind])[0][0]
+    values = {kind: _rmax_table.get((kind, d_e)) for kind in kinds}
+    missing = [kind for kind, value in values.items() if value is None]
+    geometric = [kind for kind in missing if not _entropic(kind)]
+    if geometric:
+        rho, a = max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e))
+        gains = _Gains(np.stack([rho.matrix]), np.stack([channels.phi_map(rho.matrix, a)]), d_e)
+        values.update((kind, gains.column(kind).tolist()[0]) for kind in geometric)
+    values.update((kind, float(np.log(d_e))) for kind in missing if kind not in geometric)
+    if len(_rmax_table) + len(missing) > 256:
+        _rmax_table.clear()
+    _rmax_table.update(((kind, d_e), values[kind]) for kind in missing)
+    return [values[kind] for kind in kinds]
+
+
+def realism_max(kind: Kind, d_e: int) -> float:
+    """Largest attainable information gain for a d_E-outcome observable,
+    realized by a maximally entangled pair measured in the computational
+    basis.  For the von Neumann kind this is ln d_E.  Kept per (kind, d_E),
+    apart from the workspace of delta_conditional_information; invalid
+    inputs still raise on every call.  The state route stays because closed
+    forms round differently (1e-16 for an exact 0) and would change the
+    sweep tables."""
+    return _realism_maxes([kind], d_e)[0]
 
 
 def _reports(pairs, kinds) -> list[list[RealismReport]]:
     """realism of each kind for each (rho, A) pair, from one _deltas pass
-    over all the pairs: one list per pair, in input order.  R_max is read
-    first: a realism_max miss is a _deltas call on the maximal pair, which
-    would replace the workspace of these pairs before a next per-kind call
-    on them could reuse it."""
-    r_maxes = [[realism_max(kind, a.outcomes) for kind in kinds] for _, a in pairs]
+    over all the pairs and one R_max lookup per outcome count: one list per
+    pair, in input order."""
+    r_maxes = {d_e: _realism_maxes(kinds, d_e) for d_e in {a.outcomes for _, a in pairs}}
     return [
         [
             RealismReport(
@@ -348,9 +354,9 @@ def _reports(pairs, kinds) -> list[list[RealismReport]]:
                 delta_i=delta,
                 vqr_detected=bool(delta > TOL_VQR),
             )
-            for kind, r_max, delta in zip(kinds, row_maxes, deltas)
+            for kind, r_max, delta in zip(kinds, r_maxes[a.outcomes], deltas)
         ]
-        for row_maxes, deltas in zip(r_maxes, _deltas(pairs, kinds))
+        for (_, a), deltas in zip(pairs, _deltas(pairs, kinds))
     ]
 
 
@@ -360,10 +366,6 @@ def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
     A violation of quantum realism is detected when the information gain
     exceeds TOL_VQR, i.e. when R falls short of R_max.  Per-kind calls on
     one (rho, a) share their intermediates, as delta_conditional_information
-    describes: the last call's workspace is kept until the next call, so
-    the inputs must stay unmodified, which their read-only arrays ensure.
-    A realism_max miss is itself such a call, on the maximal pair; R_max is
-    read before the gains, so a miss replaces the workspace of earlier
-    calls, never that of its own call.
+    describes.
     """
     return _reports([(rho, a)], [kind])[0][0]

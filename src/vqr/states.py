@@ -8,7 +8,6 @@ Basis ordering is row-major over subsystems: a two-qubit state is indexed
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -55,7 +54,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = linalg.as_square(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(linalg.as_index(d, "dims entry") for d in self.dims)
         if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
             raise DimensionMismatch(
                 f"dims {dims} do not factor a {arr.shape[0]}-dim matrix"
@@ -119,8 +118,8 @@ class Observable:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        sub = int(self.subsystem)
+        dims = tuple(linalg.as_index(d, "dims entry") for d in self.dims)
+        sub = linalg.as_index(self.subsystem, "subsystem")
         if not 0 <= sub < len(dims):
             raise DimensionMismatch(f"subsystem {sub} invalid for dims {dims}")
         d = dims[sub]
@@ -346,7 +345,7 @@ def random_density(
 
 def random_pure(dims: Sequence[int], seed) -> DensityMatrix:
     """Haar-random pure state: a random unitary applied to |0...0>."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(linalg.as_index(d, "dims entry") for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"dims must be positive, got {dims}")
     psi = haar_unitary(math.prod(dims), seed)[:, 0]
@@ -403,16 +402,9 @@ def _json_list(value, name: str) -> list:
     return list(value)
 
 
-def _json_int(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
-
-
 def _json_dims(obj) -> tuple[int, ...]:
     raw = _json_list(_field(obj, "dims"), "'dims'")
-    dims = tuple(_json_int(d, "'dims' entry") for d in raw)
+    dims = tuple(linalg.as_index(d, "'dims' entry") for d in raw)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"'dims' must be positive, got {list(dims)}")
     return dims
@@ -461,7 +453,7 @@ def observable_from_json(obj: dict) -> Observable:
     OutOfRange naming the field, and the observable's values go through
     validate_observable."""
     dims = _json_dims(obj)
-    sub = _json_int(_field(obj, "subsystem"), "'subsystem'")
+    sub = linalg.as_index(_field(obj, "subsystem"), "'subsystem'")
     if not 0 <= sub < len(dims):
         raise DimensionMismatch(f"'subsystem' {sub} invalid for 'dims' {list(dims)}")
     d = dims[sub]

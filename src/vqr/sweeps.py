@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalFailure, OutOfRange
 from .metrics import parse_kind
-from .realism import _reports, realism_max
+from .realism import _realism_maxes, _reports
 from .states import computational_observable, mu_state, spin_observable, werner
 
 DEFAULT_SEED = 20240
@@ -126,15 +126,8 @@ def run_rmax_sweep(spec: SweepSpec) -> list[dict]:
     stamp = spec.spec_hash()
     rows = []
     for d_e in range(2, d_max + 1):
-        for kind in kinds:
-            rows.append(
-                {
-                    "spec_hash": stamp,
-                    "d_e": d_e,
-                    "kind": kind.token(),
-                    "r_max": realism_max(kind, d_e),
-                }
-            )
+        for kind, r_max in zip(kinds, _realism_maxes(kinds, d_e)):
+            rows.append({"spec_hash": stamp, "d_e": d_e, "kind": kind.token(), "r_max": r_max})
     return rows
 
 

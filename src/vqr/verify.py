@@ -17,9 +17,8 @@ import numpy as np
 
 from . import linalg, metrics
 from .channels import build_dilation, phi_map
-from .errors import OutOfRange
 from .realism import _deltas, _dilated_deltas
-from .states import random_density, random_observables
+from .states import random_density
 
 DEFAULT_TOL = 1e-9
 LIMIT_TOL = 1e-3
@@ -41,15 +40,9 @@ _PINCHING_FUNCTIONS = {
 
 
 def _instances(seed, block, max_d_a=3):
-    """Trial i's (rho, A) for each i of the block, drawn at seed + i, with
-    the block's observables drawn in one call."""
-    dims = [(2 + (i % (max_d_a - 1)), 2 + (i % 2)) for i in block]
-    observables = random_observables(
-        (d_a, seed + i + 50021, 0, (d_a, d_b)) for i, (d_a, d_b) in zip(block, dims))
-    return [
-        (random_density(d_a * d_b, d_a * d_b - (i % 2), seed + i, dims=(d_a, d_b)), a)
-        for i, (d_a, d_b), a in zip(block, dims, observables)
-    ]
+    """Trial i's (rho, A) at dims (2 + i % (max_d_a - 1), 2 + i % 2)."""
+    return metrics._random_instances(
+        seed, block, [(2 + (i % (max_d_a - 1)), 2 + (i % 2)) for i in block])
 
 
 def _pinching_group(seed, block):
@@ -170,10 +163,7 @@ def _max_residuals(group, trials, seed) -> dict[str, float]:
 def run_verify(trials: int, seed: int) -> dict:
     """Run the whole identity suite; one row per identity.  A trial count
     below 1 or a negative seed raises OutOfRange."""
-    if trials < 1:
-        raise OutOfRange(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be at least 0, got {seed}")
+    metrics._require_trials(seed, trials=trials)
     rows = []
     for offset, group in _GROUPS:
         for identity, residual in _max_residuals(group, trials, seed + offset).items():

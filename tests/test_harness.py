@@ -272,6 +272,21 @@ class TestAudit:
         assert len(result["properties"]) == 9 * 4
 
 
+@pytest.mark.parametrize("call", [
+    lambda trials, seed: run_audit(trials, seed),
+    lambda trials, seed: run_verify(trials, seed),
+    lambda trials, seed: check_distance_properties(parse_kind("hs"), trials, seed),
+    lambda trials, seed: run_axiom_cell("tr", "axiom2b", trials, seed),
+    lambda trials, seed: run_property_table(trials, seed),
+], ids=["audit", "verify", "properties", "axiom_cell", "property_table"])
+def test_every_check_takes_one_trial_and_seed_rule(call):
+    for trials in (0, -3):
+        with pytest.raises(OutOfRange, match=f"trials must be at least 1, got {trials}"):
+            call(trials, 1)
+    with pytest.raises(OutOfRange, match="seed must be at least 0, got -5"):
+        call(2, -5)
+
+
 class TestVerify:
     def test_all_identities_pass(self):
         result = run_verify(trials=30, seed=SEED)

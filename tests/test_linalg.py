@@ -443,6 +443,8 @@ class TestPartialTrace:
     def test_errors(self):
         with pytest.raises(DimensionMismatch):
             linalg.partial_trace(np.eye(4), (2, 3), 0)
+        with pytest.raises(DimensionMismatch, match="dims entry must be an integer, got 2.5"):
+            linalg.partial_trace(np.eye(5), (2.5, 2), 0)
         with pytest.raises(DimensionMismatch):
             linalg.partial_trace(np.eye(4), (2, 2), ())
         with pytest.raises(DimensionMismatch):

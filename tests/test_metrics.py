@@ -3,7 +3,7 @@ import pytest
 
 from vqr import linalg, metrics
 from vqr.channels import phi_map
-from vqr.errors import DimensionMismatch, DomainError, InvalidAlpha, InvalidOrder
+from vqr.errors import DimensionMismatch, DomainError, InvalidAlpha, InvalidOrder, OutOfRange
 from vqr.metrics import (
     BURES,
     HELLINGER,
@@ -421,6 +421,24 @@ class TestDivergenceCore:
     def test_non_psd_entropy_raises(self):
         with pytest.raises(DomainError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda m: bures_distance_sq(m, np.eye(2) / 2),
+    lambda m: von_neumann_entropy(m),
+    lambda m: relative_entropy(m, np.eye(2) / 2),
+    lambda m: relative_entropy(np.eye(2) / 2, m),
+    lambda m: linalg.hermitian_eig(m),
+    lambda m: trace_distance(m, np.eye(2) / 2),
+    lambda m: fidelity(m, np.eye(2) / 2),
+    lambda m: powered_distance(HILBERT_SCHMIDT, m, np.eye(2) / 2),
+], ids=["bures", "entropy", "relative", "relative_second", "eig", "trace", "fidelity",
+        "powered"])
+def test_a_non_finite_entry_raises_out_of_range(call, bad):
+    # nan once gave a Bures distance of 0.586 and an entropy of -0.0
+    with pytest.raises(OutOfRange, match="non-finite entry"):
+        call(np.diag([bad, 1.0]))
 
 
 class TestPropertyChecks:

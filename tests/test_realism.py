@@ -36,6 +36,7 @@ from vqr.realism import (
     _deltas,
     _reports,
     _dilated_deltas,
+    _rmax_table,
     conditional_information_entropic,
     conditional_information_geometric,
     delta_conditional_information,
@@ -57,7 +58,7 @@ from vqr.states import (
     validate_state,
     werner,
 )
-from vqr.sweeps import SweepSpec, run_werner_sweep
+from vqr.sweeps import SweepSpec, run_rmax_sweep, run_werner_sweep
 
 GEOMETRIC_KINDS = [TRACE, HILBERT_SCHMIDT, BURES, HELLINGER]
 ALL_KINDS = GEOMETRIC_KINDS + [lp(1.5), lp(3.0), VON_NEUMANN]
@@ -302,6 +303,13 @@ class TestRealismMax:
             if value > best_value:
                 best_value, psi = value, trial
 
+    def test_the_rmax_sweep_decomposes_each_maximal_pair_once(self, linalg_counts):
+        # bu and he share one root product of each d_E's maximal pair
+        _rmax_table.clear()
+        linalg_counts.reset()
+        run_rmax_sweep(SweepSpec("rmax", {"d_max": 4}))
+        assert linalg_counts.calls()["eigh"] == 2 * 3
+
     def test_rejects_small_outcome_count(self):
         # twice: the memo must not swallow the second raise; 2.0 after 2:
         # the memo must not answer a float from the entry of the int
@@ -520,6 +528,28 @@ class TestPerKindCallsShareOnePass:
         assert per_kind_counts[0]["eigh"] > 0
         assert one_kind == multi_kind
 
+    def test_a_cold_table_adds_only_the_cost_of_filling_it(self, linalg_counts):
+        # R_max misses are evaluated apart from the pair's workspace, so the
+        # pair's own rho and Phi(rho) are decomposed once, cold or warm.
+        kinds = [parse_kind(token) for token in self.TOKENS]
+        rho, obs = self.pair(31)
+        twin = DensityMatrix(rho.matrix, rho.dims)  # equal values, another identity
+        _rmax_table.clear()
+        linalg_counts.reset()
+        for kind in kinds:
+            realism_max(kind, obs.outcomes)
+        filling = linalg_counts.calls()
+        linalg_counts.reset()
+        warm = [realism(rho, obs, kind) for kind in kinds]
+        warm_counts = linalg_counts.calls()
+        _rmax_table.clear()
+        linalg_counts.reset()
+        cold = [realism(twin, obs, kind) for kind in kinds]
+        assert linalg_counts.calls() == {
+            name: filling[name] + warm_counts[name] for name in filling}
+        assert warm_counts["eigh"] == 2  # sqrt(rho) and sqrt(Phi(rho))
+        assert cold == warm
+
     def test_interleaved_pairs_give_the_same_values(self):
         kinds = [parse_kind(token) for token in self.TOKENS]
         a, b = self.pair(41), self.pair(43)
@@ -541,9 +571,10 @@ class TestPerKindCallsShareOnePass:
         assert seen() is None
 
     def test_threads_sharing_the_memo_get_their_own_values(self):
+        # from a cleared R_max table, so the first calls also race on its misses
         kinds = [parse_kind(token) for token in self.TOKENS]
         pairs = [self.pair(71 + 2 * i, d=2) for i in range(4)]
-        expected = [_deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+        expected = [_reports([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
                     for rho, obs in pairs]
         wrong = []
 
@@ -551,11 +582,11 @@ class TestPerKindCallsShareOnePass:
             for i in range(60):
                 k = (n + i) % len(pairs)
                 rho, obs = pairs[k]
-                if [delta_conditional_information(rho, obs, kind) for kind in kinds] != (
-                        expected[k]):
+                if [realism(rho, obs, kind) for kind in kinds] != expected[k]:
                     wrong.append(k)
 
         threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        _rmax_table.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -569,12 +600,11 @@ class TestPerKindCallsShareOnePass:
         assert wrong == []
 
     def test_a_cold_realism_max_miss_keeps_the_root_product(self, linalg_counts):
-        # R_max is read before the gains, so the miss inside the first call,
-        # a _deltas call on the maximal pair, does not replace the workspace
-        # that the second call reuses.
+        # The R_max miss inside the first call is evaluated apart from the
+        # workspace that the second call reuses.
         rho = random_density(8, 8, 61, dims=(4, 2))
         obs = random_observable(4, 62, 0, (4, 2))
-        realism_max.cache_clear()
+        _rmax_table.clear()
         realism_max(HELLINGER, obs.outcomes)
         realism(rho, obs, BURES)  # its R_max misses
         linalg_counts.reset()

@@ -63,6 +63,9 @@ class TestValidateState:
     def test_dims_must_factor(self):
         with pytest.raises(DimensionMismatch):
             validate_state(np.eye(4) / 4, (3,))
+        for dims in ((2.5,), (2.0,)):
+            with pytest.raises(DimensionMismatch, match="dims entry must be an integer"):
+                DensityMatrix(np.eye(2) / 2, dims)
 
     @pytest.mark.parametrize(
         "m",
@@ -201,6 +204,10 @@ class TestComputationalObservable:
     def test_subsystem_out_of_range(self):
         with pytest.raises(DimensionMismatch, match=r"subsystem 5 invalid for dims \(2, 2\)"):
             computational_observable(2, 5, (2, 2))
+        with pytest.raises(DimensionMismatch, match="subsystem must be an integer, got 0.5"):
+            computational_observable(2, 0.5, (2, 2))
+        with pytest.raises(DimensionMismatch, match="dims entry must be an integer, got 2.5"):
+            computational_observable(2, 0, (2.5, 2))
 
 
 class TestObservableInvariants:
