@@ -53,6 +53,17 @@ def as_index(value, name: str) -> int:
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_keep(keep, n: int) -> tuple[int, ...]:
+    """The subsystem indices of keep, one index or a collection of them,
+    each by as_index, sorted and distinct; none at all, or one outside
+    [0, n), raises DimensionMismatch."""
+    indices = keep if np.iterable(keep) else (keep,)
+    keep = tuple(sorted({as_index(k, "keep index") for k in indices}))
+    if not keep or keep[0] < 0 or keep[-1] >= n:
+        raise DimensionMismatch(f"keep={keep} invalid for {n} subsystems")
+    return keep
+
+
 def as_stack(m) -> np.ndarray:
     """Coerce to a complex ndarray of square matrices, one (d, d) or a stack
     (..., d, d), without reshaping."""
@@ -69,12 +80,6 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
 def _defect(arr: np.ndarray, adjoint: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf: a nan defect
         return float(np.abs(arr - adjoint).max()) if arr.size else 0.0
-
-
-def hermiticity_defect(m) -> float:
-    """Max entrywise deviation of m from its adjoint, over a whole stack."""
-    arr = as_stack(m)
-    return _defect(arr, _adjoint(arr))
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -291,8 +296,8 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     """Trace out all subsystems not listed in keep.
 
     dims lists the subsystem dimensions whose product must equal the matrix
-    dimension; keep is a subsystem index or a collection of them.  Kept
-    subsystems stay in ascending index order.
+    dimension; keep is a subsystem index or a collection of them, read by
+    as_keep.  Kept subsystems stay in ascending index order.
     """
     arr = as_square(m)
     dims = tuple(as_index(d, "dims entry") for d in dims)
@@ -300,12 +305,8 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not factor a {arr.shape[0]}-dim matrix"
         )
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(sorted({int(k) for k in keep}))
+    keep = as_keep(keep, len(dims))
     n = len(dims)
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise DimensionMismatch(f"keep={keep} invalid for {n} subsystems")
     if len(keep) == n:
         return arr.copy()
 

@@ -192,38 +192,16 @@ def lp_distance(rho, sigma, p: float) -> float:
     The second argument may be sub-normalized (e.g. a measured state
     divided by an environment dimension).
     """
-    r, s = _pair(rho, sigma)
-    return linalg.schatten_norm(s - r, p)
+    return powered_distance(lp(p, 1.0), rho, sigma)
 
 
 def trace_distance(rho, sigma) -> float:
     """||sigma - rho||_1 (no 1/2 factor)."""
-    return lp_distance(rho, sigma, 1.0)
+    return powered_distance(TRACE, rho, sigma)
 
 
 def hs_distance(rho, sigma) -> float:
-    return lp_distance(rho, sigma, 2.0)
-
-
-def _root_product(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sqrt(sigma) sqrt(rho), which the fidelity, Bures and Hellinger read;
-    of each pair when r and s are stacks."""
-    return linalg.sqrtm_psd(s) @ linalg.sqrtm_psd(r)
-
-
-def _fidelity(root: np.ndarray) -> np.ndarray:
-    """The fidelity ||root||_1^2 of each root in a stack (0-d for one)."""
-    return linalg.scalar_power(np.linalg.svd(root, compute_uv=False).sum(axis=-1), 2)
-
-
-def _root_distance_sq(family: str, root: np.ndarray) -> np.ndarray:
-    """The squared Bures ("bu") or Hellinger ("he") distance from the root,
-    clipped at 0, of each root in a stack (0-d for one)."""
-    if family == "bu":
-        value = 2.0 - 2.0 * np.sqrt(_fidelity(root))
-    else:
-        value = 2.0 - 2.0 * np.real(np.trace(root, axis1=-2, axis2=-1))
-    return np.where(value > 0.0, value, 0.0)
+    return powered_distance(HILBERT_SCHMIDT.with_power(1.0), rho, sigma)
 
 
 def fidelity(rho, sigma) -> float:
@@ -233,17 +211,17 @@ def fidelity(rho, sigma) -> float:
     For pure states this reduces to |<psi|phi>|^2.  Sub-normalized inputs
     are accepted; for normalized states F is in [0, 1].
     """
-    return float(_fidelity(_root_product(*_pair(rho, sigma))))
+    return float(_Distances(*_pair(rho, sigma)).fidelity)
 
 
 def bures_distance_sq(rho, sigma) -> float:
     """Squared Bures distance 2 - 2 sqrt(F)."""
-    return float(_root_distance_sq("bu", _root_product(*_pair(rho, sigma))))
+    return powered_distance(BURES, rho, sigma)
 
 
 def hellinger_distance_sq(rho, sigma) -> float:
     """Squared quantum Hellinger distance 2 - 2 Tr(sqrt(sigma) sqrt(rho))."""
-    return float(_root_distance_sq("he", _root_product(*_pair(rho, sigma))))
+    return powered_distance(HELLINGER, rho, sigma)
 
 
 def distance(kind: DistanceKind, rho, sigma) -> float:
@@ -272,10 +250,11 @@ def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
 
 class _Distances:
     """The powered distances between the complex matrices r and s, or
-    between the members of two (N, d, d) stacks.  Each intermediate is
-    computed on first use and kept, so kinds asked for later, in this call
-    or another, reuse it: the SVD of s - r, which every Schatten order
-    reads, the root product, which Bures and Hellinger read, and each
+    between the members of two (N, d, d) stacks, and their fidelity: the
+    one place either is computed.  Each intermediate is computed on first
+    use and kept, so kinds asked for later, in this call or another, reuse
+    it: the SVD of s - r, which every Schatten order reads, the root
+    product and the fidelity, which Bures and Hellinger read, and each
     native distance, which is raised to each kind's exponent."""
 
     def __init__(self, r: np.ndarray, s: np.ndarray):
@@ -284,20 +263,30 @@ class _Distances:
 
     @functools.cached_property
     def root(self) -> np.ndarray:
-        return _root_product(self.r, self.s)
+        """sqrt(s) sqrt(r) of each pair."""
+        return linalg.sqrtm_psd(self.s) @ linalg.sqrtm_psd(self.r)
+
+    @functools.cached_property
+    def fidelity(self) -> np.ndarray:
+        """||root||_1^2 of each pair: 0-d for one pair, N values for stacks."""
+        return linalg.scalar_power(np.linalg.svd(self.root, compute_uv=False).sum(axis=-1), 2)
 
     @functools.cached_property
     def singular(self) -> np.ndarray:
         return np.linalg.svd(self.s - self.r, compute_uv=False)
 
     def _native(self, kind: DistanceKind) -> np.ndarray:
+        """The Schatten norm of s - r, or the squared Bures or Hellinger
+        distance, clipped at 0 where roundoff takes it below."""
         key = kind.family, kind.p
         if key not in self._natives:
-            if kind.family in ("bu", "he"):
-                self._natives[key] = _root_distance_sq(kind.family, self.root)
+            if kind.family == "bu":
+                value = 2.0 - 2.0 * np.sqrt(self.fidelity)
+            elif kind.family == "he":
+                value = 2.0 - 2.0 * np.real(np.trace(self.root, axis1=-2, axis2=-1))
             else:
-                self._natives[key] = linalg.schatten_from_singular_values(
-                    self.singular, kind.schatten_p)
+                value = linalg.schatten_from_singular_values(self.singular, kind.schatten_p)
+            self._natives[key] = np.where(value > 0.0, value, 0.0)
         return self._natives[key]
 
     def powered(self, kind: DistanceKind) -> np.ndarray:

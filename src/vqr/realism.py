@@ -10,13 +10,12 @@ dilation and R_max is attained at a maximally entangled system state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import channels, metrics
+from . import channels, linalg, metrics
 from .errors import DimensionMismatch, InvalidOrder
 from .metrics import VON_NEUMANN, DistanceKind, DivergenceKind, Kind
 from .states import DensityMatrix, Observable, computational_observable, max_entangled
@@ -168,7 +167,7 @@ class _Gains:
         I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
         I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
 
-    also reads ||Phi||_p^p and ||rho||_p^p, the distances from 0."""
+    also reads ||Phi||_p^p and ||rho||_p^p, from one SVD of each stack."""
 
     def __init__(self, rhos: np.ndarray, phis: np.ndarray, d_e: int):
         self.rhos, self.phis, self.d_e = rhos, phis, d_e
@@ -182,9 +181,9 @@ class _Gains:
         return metrics._Distances(self.rhos, self.phis)
 
     @cached_property
-    def _norms(self) -> tuple[metrics._Distances, metrics._Distances]:
-        zero = np.zeros_like(self.rhos)
-        return metrics._Distances(zero, self.phis), metrics._Distances(zero, self.rhos)
+    def _singular(self) -> tuple[np.ndarray, np.ndarray]:
+        """The singular values of each Phi and of each rho."""
+        return tuple(np.linalg.svd(m, compute_uv=False) for m in (self.phis, self.rhos))
 
     @cached_property
     def _entropy_gain(self) -> np.ndarray:
@@ -210,7 +209,9 @@ class _Gains:
         if kind.family in ("bu", "he"):
             return d / np.sqrt(d_e)
         p = kind.p
-        norms_phi, norms_rho = (norms.powered(kind) for norms in self._norms)
+        norms_phi, norms_rho = (
+            linalg.scalar_power(linalg.schatten_from_singular_values(s, p), p)
+            for s in self._singular)
         i_t = d + (d_e - 1) / d_e**p * norms_phi
         i_0 = norms_rho * ((d_e - 1) ** p + (d_e - 1)) / d_e**p
         return i_t - i_0
@@ -311,8 +312,7 @@ def _realism_maxes(kinds, d_e: int) -> list[float]:
     are evaluated together on one maximally entangled pair measured in the
     computational basis, whose intermediates are dropped on return; ln d_E
     for von Neumann.  An invalid d_E or kind raises on every call."""
-    if not isinstance(d_e, numbers.Integral):
-        raise DimensionMismatch(f"outcome count must be an integer, got {d_e!r}")
+    d_e = linalg.as_index(d_e, "outcome count")
     if d_e < 2:
         raise DimensionMismatch(f"observable needs >= 2 outcomes, got {d_e}")
     values = {kind: _rmax_table.get((kind, d_e)) for kind in kinds}

@@ -18,7 +18,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NonProjective,
-    NotHermitian,
     NotPSD,
     OutOfRange,
     TraceNotOne,
@@ -67,10 +66,9 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def reduced(self, keep) -> "DensityMatrix":
-        """Partial trace keeping the given subsystem indices."""
-        if isinstance(keep, (int, np.integer)):
-            keep = (int(keep),)
-        keep = tuple(sorted({int(k) for k in keep}))
+        """Partial trace keeping the given subsystem indices, read by
+        linalg.as_keep."""
+        keep = linalg.as_keep(keep, len(self.dims))
         sub = linalg.partial_trace(self.matrix, self.dims, keep)
         return DensityMatrix(sub, tuple(self.dims[k] for k in keep))
 
@@ -81,21 +79,16 @@ class DensityMatrix:
 def validate_state(m, dims: Sequence[int]) -> DensityMatrix:
     """Check a matrix from outside vqr and wrap it as a density matrix.
 
-    The one place a state's values are checked: raises OutOfRange for a
-    non-finite entry, then NotHermitian, TraceNotOne or NotPSD naming the
-    violated invariant and its magnitude.
+    The one place a state's values are checked: linalg.require_hermitian
+    raises OutOfRange for a non-finite entry, then NotHermitian; then
+    TraceNotOne or NotPSD name the violated invariant and its magnitude.
     """
     rho = DensityMatrix(m, dims)
-    arr = rho.matrix
-    if not np.isfinite(arr).all():
-        raise OutOfRange("state has a non-finite entry")
-    defect = linalg.hermiticity_defect(arr)
-    if defect > linalg.TAU_HERM:
-        raise NotHermitian(f"state is not Hermitian (defect {defect:.3e})", defect)
-    tr = complex(np.trace(arr))
+    hermitian = linalg.require_hermitian(rho.matrix)
+    tr = complex(np.trace(rho.matrix))
     if abs(tr - 1.0) > TAU_TRACE:
         raise TraceNotOne(f"state trace is {tr:.12g}, expected 1", float(tr.real))
-    w_min = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
+    w_min = float(np.linalg.eigvalsh(hermitian).min())
     if w_min < -linalg.TAU_PSD:
         raise NotPSD(f"state has eigenvalue {w_min:.3e}", w_min)
     return rho

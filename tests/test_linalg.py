@@ -449,3 +449,7 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4), (2, 2), ())
         with pytest.raises(DimensionMismatch):
             linalg.partial_trace(np.eye(4), (2, 2), 5)
+        # a keep index is an integer, not a number truncated to one
+        for keep in ([1.5], 1.5, (0, 1.0)):
+            with pytest.raises(DimensionMismatch, match="keep index must be an integer"):
+                linalg.partial_trace(np.eye(4), (2, 2), keep)

@@ -524,6 +524,13 @@ class TestDensityMatrixHelpers:
         assert sub.dims == (2, 2)
         assert np.trace(sub.matrix).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_reduced_rejects_a_non_integral_keep(self):
+        # reduced reads keep by partial_trace's rule: 1.9 is not subsystem 1
+        for keep in ([1.9], 1.9, np.array([0.5])):
+            with pytest.raises(DimensionMismatch, match="keep index must be an integer"):
+                werner(0.3).reduced(keep)
+        assert werner(0.3).reduced(np.int64(1)).dims == (2,)
+
     def test_constructors_yield_valid_states(self):
         # vqr's own constructors skip the value checks, so their outputs
         # must pass them.
