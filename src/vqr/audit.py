@@ -19,6 +19,7 @@ import numpy as np
 
 from . import metrics
 from .channels import has_reality, measure_nonselective, monitor
+from .errors import OutOfRange
 from .metrics import expected_distance_properties
 from .realism import TOL_VQR, _deltas, realism_max
 from .states import (
@@ -272,8 +273,14 @@ def _cell_row(kind_token: str, axiom: str, witness, witness_seed) -> dict:
 
 
 def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
-    """Audit a single (kind, axiom) cell and return its row.  A trial count
-    below 1 or a negative seed raises OutOfRange."""
+    """Audit a single (kind, axiom) cell and return its row.  A kind token
+    without a nominal pattern, an axiom outside AXIOMS, a trial count below 1
+    or a negative seed raises OutOfRange."""
+    if kind_token not in NOMINAL_PATTERN:
+        raise OutOfRange(f"no nominal pattern for kind {kind_token!r}; "
+                         f"audited kinds are {', '.join(NOMINAL_PATTERN)}")
+    if axiom not in AXIOMS:
+        raise OutOfRange(f"unknown axiom {axiom!r}; axioms are {', '.join(AXIOMS)}")
     metrics._require_trials(seed, trials=trials)
     return _cell_row(kind_token, axiom, *_first_witnesses(axiom, [kind_token], trials, seed)[0])
 

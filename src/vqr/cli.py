@@ -54,18 +54,19 @@ def _add_common(sub, default_kinds):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vqr", description=__doc__.strip().splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    grid = {name: experiment.defaults for name, experiment in sweeps.EXPERIMENTS.items()}
 
     werner = subs.add_parser("werner", help="realism monotones on the Werner family")
-    werner.add_argument("--eps-steps", type=int, default=101)
+    werner.add_argument("--eps-steps", type=int, default=grid["werner"]["eps_steps"])
     _add_common(werner, sweeps.WERNER_KINDS)
 
     rmax = subs.add_parser("rmax", help="maximum realism versus outcome count")
-    rmax.add_argument("--dmax", type=int, default=16)
+    rmax.add_argument("--dmax", type=int, default=grid["rmax"]["d_max"])
     _add_common(rmax, sweeps.RMAX_KINDS)
 
     mu = subs.add_parser("mu", help="Bures/Hellinger realism on the mu family")
-    mu.add_argument("--mu-steps", type=int, default=101)
-    mu.add_argument("--phi", default=",".join(str(p) for p in sweeps.MU_PHIS),
+    mu.add_argument("--mu-steps", type=int, default=grid["mu"]["mu_steps"])
+    mu.add_argument("--phi", default=",".join(str(p) for p in grid["mu"]["phis"]),
                     help="comma-separated azimuthal angles")
     _add_common(mu, sweeps.MU_KINDS)
 

@@ -305,8 +305,8 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not factor a {arr.shape[0]}-dim matrix"
         )
-    keep = as_keep(keep, len(dims))
     n = len(dims)
+    keep = as_keep(keep, n)
     if len(keep) == n:
         return arr.copy()
 

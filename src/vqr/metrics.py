@@ -306,12 +306,13 @@ def _stacked(values, kinds, pairs) -> list[tuple]:
 
 
 def _require_trials(seed: int, **counts: int) -> None:
-    """OutOfRange for a trial count below 1, named by its keyword, or for a
-    negative seed: the rule of every check's entry point."""
+    """The rule of every check's entry point: each trial count, named by its
+    keyword, and the seed go through linalg.as_index; then OutOfRange for a
+    count below 1 or a negative seed."""
     for name, count in counts.items():
-        if count < 1:
+        if linalg.as_index(count, name) < 1:
             raise OutOfRange(f"{name} must be at least 1, got {count}")
-    if seed < 0:
+    if linalg.as_index(seed, "seed") < 0:
         raise OutOfRange(f"seed must be at least 0, got {seed}")
 
 

@@ -244,6 +244,7 @@ def validate_observable(projectors, eigenvalues, subsystem: int, dims: Sequence[
 
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto (1/sqrt(d)) sum_a |aa> over dims [d, d]."""
+    d = linalg.as_index(d, "qudit dimension")
     if d < 2:
         raise OutOfRange(f"qudit dimension must be >= 2, got {d}")
     psi = np.zeros(d * d, dtype=complex)
@@ -301,6 +302,7 @@ def computational_observable(
     d: int, subsystem: int = 0, dims: Sequence[int] | None = None
 ) -> Observable:
     """The d rank-1 projectors |a><a| with eigenvalues 0..d-1."""
+    d = linalg.as_index(d, "observable dimension")
     dims = (d,) if dims is None else tuple(dims)
     projs = tuple(np.diag(np.eye(d)[a]).astype(complex) for a in range(d))
     return Observable(projs, tuple(float(a) for a in range(d)), subsystem, dims)
@@ -327,6 +329,7 @@ def random_density(
     d: int, rank: int, seed, dims: Sequence[int] | None = None
 ) -> DensityMatrix:
     """Ginibre random state: G G^dag / Tr(G G^dag) with G of shape d x rank."""
+    d, rank = linalg.as_index(d, "state dimension"), linalg.as_index(rank, "rank")
     if not 1 <= rank <= d:
         raise OutOfRange(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)

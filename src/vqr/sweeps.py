@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalFailure, OutOfRange
+from .linalg import as_index
 from .metrics import parse_kind
 from .realism import _realism_maxes, _reports
 from .states import computational_observable, mu_state, spin_observable, werner
@@ -35,8 +36,10 @@ THETA_INVARIANCE_TOL = 1e-9
 class SweepSpec:
     """Parameters of one harness run; its hash stamps every output row.
 
-    No sweep draws random numbers, so `seed` changes nothing but that hash:
-    it records the seed the run was given (--seed or VQR_SEED) next to the
+    Construction fills the grid entries and the kinds left out with the
+    experiment's defaults (EXPERIMENTS), so the hash stamps what runs.  No
+    sweep draws random numbers, so `seed` changes nothing but that hash: it
+    records the seed the run was given (--seed or VQR_SEED) next to the
     grid and kinds that produced the table.
     """
 
@@ -45,6 +48,14 @@ class SweepSpec:
     kinds: tuple[str, ...] = ()
     seed: int = DEFAULT_SEED
     format: str = "csv"
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise OutOfRange(f"unknown experiment {self.experiment!r}; "
+                             f"experiments are {', '.join(EXPERIMENTS)}")
+        experiment = EXPERIMENTS[self.experiment]
+        object.__setattr__(self, "grid", {**experiment.defaults, **self.grid})
+        object.__setattr__(self, "kinds", tuple(self.kinds) or experiment.kinds)
 
     def spec_hash(self) -> str:
         payload = json.dumps(
@@ -94,10 +105,10 @@ MU_FIELDS = ["spec_hash", "mu", "phi", "kind", "r_value"]
 def run_werner_sweep(spec: SweepSpec) -> list[dict]:
     """Realism of a computational-basis qubit observable on the Werner
     family, for every requested kind over the epsilon grid."""
-    steps = int(spec.grid.get("eps_steps", 101))
+    steps = as_index(spec.grid["eps_steps"], "eps_steps")
     if steps < 2:
         raise OutOfRange(f"need at least 2 grid points, got {steps}")
-    kinds = [parse_kind(t) for t in (spec.kinds or WERNER_KINDS)]
+    kinds = [parse_kind(t) for t in spec.kinds]
     obs = computational_observable(2, 0, (2, 2))
     stamp = spec.spec_hash()
     grid = np.linspace(0.0, 1.0, steps)
@@ -119,10 +130,10 @@ def run_werner_sweep(spec: SweepSpec) -> list[dict]:
 
 def run_rmax_sweep(spec: SweepSpec) -> list[dict]:
     """Maximum realism value per kind as a function of the outcome count."""
-    d_max = int(spec.grid.get("d_max", 16))
+    d_max = as_index(spec.grid["d_max"], "d_max")
     if d_max < 2:
         raise OutOfRange(f"d_max must be >= 2, got {d_max}")
-    kinds = [parse_kind(t) for t in (spec.kinds or RMAX_KINDS)]
+    kinds = [parse_kind(t) for t in spec.kinds]
     stamp = spec.spec_hash()
     rows = []
     for d_e in range(2, d_max + 1):
@@ -154,13 +165,13 @@ def _theta_invariance_check(mu: float, phi: float, reports) -> None:
 def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     """Bures/Hellinger realism on the mu family for each azimuthal angle,
     at polar angle zero, with a polar-invariance spot check."""
-    steps = int(spec.grid.get("mu_steps", 101))
+    steps = as_index(spec.grid["mu_steps"], "mu_steps")
     if steps < 2:
         raise OutOfRange(f"need at least 2 grid points, got {steps}")
-    phis = tuple(float(p) for p in spec.grid.get("phis", MU_PHIS))
+    phis = tuple(float(p) for p in spec.grid["phis"])
     if not phis:
         raise OutOfRange("need at least one azimuthal angle")
-    kinds = [parse_kind(t) for t in (spec.kinds or MU_KINDS)]
+    kinds = [parse_kind(t) for t in spec.kinds]
     stamp = spec.spec_hash()
     observables = [(phi, spin_observable(0.0, phi, subsystem=0, dims=(2, 2))) for phi in phis]
     # every grid point, then every polar-invariance point, as one list of pairs
@@ -215,39 +226,46 @@ def _angles(text: str) -> list[float]:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One sweep: its runner, CSV columns and default kinds, the grid it
-    takes from the parsed command line, and its GNUPLOT_TEMPLATE axes."""
+    """One sweep: its runner, CSV columns, default kinds and default grid
+    (the one copy of each default, which the CLI reads too), the grid it
+    takes from the parsed command line, and its GNUPLOT_TEMPLATE axes: the
+    labels and the fields plotted against each other."""
 
     run: Callable[[SweepSpec], list[dict]]
     fields: list[str]
     kinds: tuple[str, ...]
+    defaults: dict
     grid: Callable[[object], dict]
     plot: dict
 
 
 EXPERIMENTS = {
     "werner": Experiment(
-        run_werner_sweep, WERNER_FIELDS, WERNER_KINDS,
+        run_werner_sweep, WERNER_FIELDS, WERNER_KINDS, {"eps_steps": 101},
         lambda args: {"eps_steps": args.eps_steps},
-        dict(xlabel="epsilon", ylabel="realism", xcol=2, kindcol=3, ycol=4),
+        dict(xlabel="epsilon", ylabel="realism", x="epsilon", y="r_value"),
     ),
     "rmax": Experiment(
-        run_rmax_sweep, RMAX_FIELDS, RMAX_KINDS,
+        run_rmax_sweep, RMAX_FIELDS, RMAX_KINDS, {"d_max": 16},
         lambda args: {"d_max": args.dmax},
-        dict(xlabel="d_E", ylabel="max realism", xcol=2, kindcol=3, ycol=4),
+        dict(xlabel="d_E", ylabel="max realism", x="d_e", y="r_max"),
     ),
     "mu": Experiment(
-        run_mu_sweep, MU_FIELDS, MU_KINDS,
+        run_mu_sweep, MU_FIELDS, MU_KINDS, {"mu_steps": 101, "phis": MU_PHIS},
         lambda args: {
             "mu_steps": args.mu_steps,
             "phis": _angles(args.phi),
         },
-        dict(xlabel="mu", ylabel="realism", xcol=2, kindcol=4, ycol=5),
+        dict(xlabel="mu", ylabel="realism", x="mu", y="r_value"),
     ),
 }
 
 
 def gnuplot_script(spec: SweepSpec, csv_path: str) -> str:
     experiment = EXPERIMENTS[spec.experiment]
-    kinds = " ".join(spec.kinds or experiment.kinds)
-    return GNUPLOT_TEMPLATE.format(csv=csv_path, kinds=kinds, **experiment.plot)
+    plot = experiment.plot
+    column = {name: n for n, name in enumerate(experiment.fields, 1)}
+    return GNUPLOT_TEMPLATE.format(
+        csv=csv_path, kinds=" ".join(spec.kinds), xlabel=plot["xlabel"],
+        ylabel=plot["ylabel"], xcol=column[plot["x"]], kindcol=column["kind"],
+        ycol=column[plot["y"]])

@@ -16,14 +16,15 @@ from vqr.audit import (
     run_property_table,
 )
 from vqr.cli import main
-from vqr.errors import InvalidAlpha, InvalidOrder, OutOfRange
+from vqr.errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
 from vqr.metrics import TRIAL_BLOCK, check_distance_properties
-from vqr.states import computational_observable, werner
+from vqr.states import computational_observable, max_entangled, random_density, werner
 from vqr.sweeps import (
     MU_KINDS,
     RMAX_KINDS,
     WERNER_KINDS,
     SweepSpec,
+    gnuplot_script,
     parse_kind,
     rows_to_csv,
     run_mu_sweep,
@@ -97,6 +98,31 @@ class TestWernerSweep:
         spec = werner_spec(steps=3)
         rows = run_werner_sweep(spec)
         assert {r["spec_hash"] for r in rows} == {spec.spec_hash()}
+
+    def test_hash_stamps_the_resolved_spec(self):
+        # the defaults are filled in before the hash is taken, so a spec
+        # left to its defaults stamps what `vqr werner` stamps
+        spec = SweepSpec("werner")
+        full = SweepSpec("werner", {"eps_steps": 101}, WERNER_KINDS, 20240)
+        assert spec == full
+        assert spec.spec_hash() == full.spec_hash()
+        rows = run_werner_sweep(spec)
+        assert {r["spec_hash"] for r in rows} == {full.spec_hash()}
+        # the stamp of `vqr werner` (tests/golden/werner.csv), and of the
+        # other sweeps at their defaults
+        hashes = [SweepSpec(name).spec_hash() for name in ("werner", "mu", "rmax")]
+        assert hashes == ["38bcc1aa3526", "264b6d007381", "340fa88c9905"]
+        with pytest.raises(OutOfRange, match="unknown experiment 'wener'"):
+            SweepSpec("wener")
+
+    def test_gnuplot_columns_follow_the_fields(self):
+        using = {name: gnuplot_script(SweepSpec(name), "t.csv").split("using ")[1].split(" \\")[0]
+                 for name in ("werner", "rmax", "mu")}
+        assert using == {
+            "werner": "2:(strcol(3) eq k ? column(4) : NaN)",
+            "rmax": "2:(strcol(3) eq k ? column(4) : NaN)",
+            "mu": "2:(strcol(4) eq k ? column(5) : NaN)",
+        }
 
 
 class TestRmaxSweep:
@@ -285,6 +311,43 @@ def test_every_check_takes_one_trial_and_seed_rule(call):
             call(trials, 1)
     with pytest.raises(OutOfRange, match="seed must be at least 0, got -5"):
         call(2, -5)
+
+
+@pytest.mark.parametrize("kind, axiom, match", [
+    ("lp2", "axiom1", "no nominal pattern for kind 'lp2'"),
+    ("vn", "axiom1", "no nominal pattern for kind 'vn'"),
+    ("TR", "axiom1", "no nominal pattern for kind 'TR'; audited kinds are tr, hs, lp3, bu, he"),
+    ("tr", "axiom9", "unknown axiom 'axiom9'; axioms are axiom1, axiom2a"),
+], ids=["lp2", "vn", "TR", "axiom9"])
+def test_axiom_cell_outside_the_nominal_table_raises_before_searching(
+        kind, axiom, match, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(audit, "_first_witnesses", no_search)
+    with pytest.raises(OutOfRange, match=match):
+        run_axiom_cell(kind, axiom, 2, SEED)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: run_verify(2.5, 1), "trials must be an integer, got 2.5"),
+    (lambda: run_verify(1, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: run_audit(2, 1, property_trials=1.0), "property_trials must be an integer"),
+    (lambda: random_density(2.5, 2, 1), "state dimension must be an integer, got 2.5"),
+    (lambda: random_density(2, 1.5, 1), "rank must be an integer, got 1.5"),
+    (lambda: max_entangled(2.5), "qudit dimension must be an integer, got 2.5"),
+    (lambda: computational_observable(2.5), "observable dimension must be an integer"),
+    (lambda: run_werner_sweep(SweepSpec("werner", {"eps_steps": 2.7})),
+     "eps_steps must be an integer, got 2.7"),
+    (lambda: run_mu_sweep(SweepSpec("mu", {"mu_steps": 3.0})), "mu_steps must be an integer"),
+    (lambda: run_rmax_sweep(SweepSpec("rmax", {"d_max": 2.9})),
+     "d_max must be an integer, got 2.9"),
+], ids=["verify_trials", "verify_seed", "audit_property_trials", "random_density_d",
+        "random_density_rank", "max_entangled", "computational_observable", "werner_steps",
+        "mu_steps", "rmax_d_max"])
+def test_integer_inputs_take_one_rule(call, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        call()
 
 
 class TestVerify:
