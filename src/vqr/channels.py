@@ -25,9 +25,9 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
     a normalized state, but a non-finite entry raises OutOfRange.
 
     Two paths give the same bits on finite matrices:
-    - when every projector is an exact 0/1 diagonal (computational and
-      block observables), the pinching keeps the entries inside the
-      blocks and zeroes the rest, so it is one entrywise mask;
+    - when every projector is an exact 0/1 diagonal (computational, block
+      and axis-aligned spin observables), the pinching keeps the entries
+      inside the blocks and zeroes the rest, so it copies those entries;
     - otherwise it sums the 2 d_E dense products P_a m P_a over the
       embedded projectors.
     Both leave every zero as +0.0.
@@ -40,10 +40,12 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise OutOfRange("matrix to measure has a non-finite entry")
-    mask = a._pinching_mask
-    if mask is not None:
+    blocks = a._pinching_blocks
+    if blocks is not None:
+        out = np.zeros(m.size, dtype=complex)
         # + 0.0 turns a kept -0.0 into +0.0, as the dense sum does
-        return np.where(mask, m, 0) + 0.0
+        out[blocks.kept] = m.ravel()[blocks.kept] + 0.0
+        return out.reshape(m.shape)
     out = np.zeros_like(m)
     for p in a.full_projectors:
         out += p @ m @ p
@@ -77,7 +79,10 @@ def monitor(rho: DensityMatrix, a: Observable, eps: float) -> DensityMatrix:
 
 
 def has_reality(rho: DensityMatrix, a: Observable, tol: float = REALITY_TOL) -> bool:
-    """True iff the measurement of `a` leaves rho unchanged in trace norm."""
+    """True iff the measurement of `a` leaves rho unchanged in trace norm,
+    within tol; a tol that is negative or not finite raises OutOfRange."""
+    if not 0.0 <= tol < math.inf:
+        raise OutOfRange(f"reality tolerance must be finite and >= 0, got {tol}")
     _require_same_space(rho, a)
     return linalg.schatten_norm(rho.matrix - phi_map(rho.matrix, a), 1.0) <= tol
 

@@ -53,6 +53,14 @@ def as_index(value, name: str) -> int:
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_seed(seed) -> int:
+    """A random seed, by as_index; a negative one raises OutOfRange."""
+    seed = as_index(seed, "seed")
+    if seed < 0:
+        raise OutOfRange(f"seed must be at least 0, got {seed}")
+    return seed
+
+
 def as_keep(keep, n: int) -> tuple[int, ...]:
     """The subsystem indices of keep, one index or a collection of them,
     each by as_index, sorted and distinct; none at all, or one outside
@@ -199,7 +207,8 @@ def hermitian_eig(m) -> EigenDecomposition:
     deterministic function of the input.  Each member gets the bits it
     would get on its own.
     """
-    h = require_hermitian(m)
+    # _frobenius views h as float, which needs a unit-stride last axis
+    h = np.ascontiguousarray(require_hermitian(m))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -246,9 +255,18 @@ def matrix_function(m, f: Callable, clip_psd: bool = False) -> np.ndarray:
     return (v * fw[..., None, :]) @ _adjoint(v)
 
 
+def _require_finite_power(alpha: float) -> None:
+    """InvalidOrder for a non-finite power: 1 ** nan is 1, so a nan power
+    would give a silent number."""
+    if not math.isfinite(alpha):
+        raise InvalidOrder(f"matrix power must be finite, got {alpha}")
+
+
 def floored_power(w, alpha: float) -> np.ndarray:
     """w ** alpha of clipped eigenvalues, 0 where w is at or below
-    SPECTRAL_FLOOR, or TAU_PSD for the pseudo-power of alpha < 0."""
+    SPECTRAL_FLOOR, or TAU_PSD for the pseudo-power of alpha < 0.  A
+    non-finite alpha raises InvalidOrder."""
+    _require_finite_power(alpha)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = w > (TAU_PSD if alpha < 0 else SPECTRAL_FLOOR)
@@ -265,7 +283,9 @@ def sqrtm_psd(m) -> np.ndarray:
 
 def powm_psd(m, alpha: float) -> np.ndarray:
     """PSD matrix power floored_power(lambda, alpha), on one matrix or each
-    member of a stack."""
+    member of a stack; a non-finite alpha raises InvalidOrder before the
+    decomposition."""
+    _require_finite_power(alpha)
     return matrix_function(m, lambda w: floored_power(w, alpha), clip_psd=True)
 
 

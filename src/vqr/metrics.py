@@ -255,16 +255,30 @@ class _Distances:
     use and kept, so kinds asked for later, in this call or another, reuse
     it: the SVD of s - r, which every Schatten order reads, the root
     product and the fidelity, which Bures and Hellinger read, and each
-    native distance, which is raised to each kind's exponent."""
+    native distance, which is raised to each kind's exponent.
 
-    def __init__(self, r: np.ndarray, s: np.ndarray):
-        self.r, self.s = r, s
+    blocks, the PinchingBlocks of an observable, says that every s is
+    block-diagonal on its index blocks, as a pinching Phi(rho) is; the root
+    product then takes sqrt(s) block by block.  None, the one-block
+    case, takes it of the whole matrix."""
+
+    def __init__(self, r: np.ndarray, s: np.ndarray, blocks=None):
+        self.r, self.s, self.blocks = r, s, blocks
         self._natives = {}
 
     @functools.cached_property
     def root(self) -> np.ndarray:
-        """sqrt(s) sqrt(r) of each pair."""
-        return linalg.sqrtm_psd(self.s) @ linalg.sqrtm_psd(self.r)
+        """sqrt(s) sqrt(r) of each pair.  With blocks, the rows of each
+        block b are sqrt(s_bb) sqrt(r)[b, :], where s_bb is s on b x b; the
+        roots of all blocks of one size are one stacked sqrtm_psd."""
+        root_r = linalg.sqrtm_psd(self.r)
+        if self.blocks is None:
+            return linalg.sqrtm_psd(self.s) @ root_r
+        out = np.empty_like(root_r)
+        for indices in self.blocks.by_size:
+            roots = linalg.sqrtm_psd(self.s[..., indices[:, :, None], indices[:, None, :]])
+            out[..., indices, :] = roots @ root_r.take(indices, axis=-2)
+        return out
 
     @functools.cached_property
     def fidelity(self) -> np.ndarray:
@@ -307,13 +321,12 @@ def _stacked(values, kinds, pairs) -> list[tuple]:
 
 def _require_trials(seed: int, **counts: int) -> None:
     """The rule of every check's entry point: each trial count, named by its
-    keyword, and the seed go through linalg.as_index; then OutOfRange for a
-    count below 1 or a negative seed."""
+    keyword, goes through linalg.as_index, with OutOfRange for a count below
+    1, and the seed through linalg.as_seed, the samplers' seed rule."""
     for name, count in counts.items():
         if linalg.as_index(count, name) < 1:
             raise OutOfRange(f"{name} must be at least 1, got {count}")
-    if linalg.as_index(seed, "seed") < 0:
-        raise OutOfRange(f"seed must be at least 0, got {seed}")
+    linalg.as_seed(seed)
 
 
 def _random_instances(seed, block, dims) -> list[tuple]:

@@ -158,27 +158,28 @@ def _entropic(kind: Kind) -> bool:
 
 class _Gains:
     """The closed-form gains of two (N, d, d) stacks, rho and Phi(rho), with
-    d_E outcomes.  Each intermediate is computed on first use and kept, so a
-    kind reads only what it needs and later kinds reuse it: tr and the L_p
-    orders read d(rho, Phi/d_E), whose SVD they share, and hs, bu and he
-    read d(rho, Phi), hs its SVD and bu and he its root product.  The L_p
-    block formula
+    d_E outcomes; blocks, the PinchingBlocks of the observable that made
+    every Phi or None, go to the root product.  Each intermediate is
+    computed on first use and kept, so a kind reads only what it needs and
+    later kinds reuse it: tr and the L_p orders read d(rho, Phi/d_E), whose
+    SVD they share, and hs, bu and he read d(rho, Phi), hs its SVD and bu
+    and he its root product.  The L_p block formula
 
         I_t = d_p^p(rho, Phi/d_E) + (d_E-1)/d_E^p ||Phi||_p^p
         I_0 = ||rho||_p^p [(d_E-1)^p + (d_E-1)] / d_E^p
 
     also reads ||Phi||_p^p and ||rho||_p^p, from one SVD of each stack."""
 
-    def __init__(self, rhos: np.ndarray, phis: np.ndarray, d_e: int):
-        self.rhos, self.phis, self.d_e = rhos, phis, d_e
+    def __init__(self, rhos: np.ndarray, phis: np.ndarray, d_e: int, blocks=None):
+        self.rhos, self.phis, self.d_e, self.blocks = rhos, phis, d_e, blocks
 
     @cached_property
     def _scaled(self) -> metrics._Distances:
-        return metrics._Distances(self.rhos, self.phis / self.d_e)
+        return metrics._Distances(self.rhos, self.phis / self.d_e, self.blocks)
 
     @cached_property
     def _direct(self) -> metrics._Distances:
-        return metrics._Distances(self.rhos, self.phis)
+        return metrics._Distances(self.rhos, self.phis, self.blocks)
 
     @cached_property
     def _singular(self) -> tuple[np.ndarray, np.ndarray]:
@@ -230,11 +231,12 @@ _last_call = None
 def _deltas(pairs, kinds) -> list[list[float]]:
     """delta_conditional_information of each kind for each (rho, A) pair:
     one list per pair, in input order.  Pairs that share the matrix
-    dimension and the outcome count (a scalar in every formula) are
-    evaluated as one stack, from one Phi(rho) per pair; each pair gets the
-    bits it would get on its own.  The stacks and their intermediates are
-    kept until the next call, which reuses them when it is on the same
-    pairs."""
+    dimension, the outcome count (a scalar in every formula) and the
+    pinching blocks (Observable._pinching_blocks, None for a dense
+    observable) are evaluated as one stack, from one Phi(rho) per pair;
+    each pair gets the bits it would get on its own.  The stacks and their
+    intermediates are kept until the next call, which reuses them when it
+    is on the same pairs."""
     global _last_call
     for rho, a in pairs:
         channels._require_same_space(rho, a)
@@ -244,13 +246,15 @@ def _deltas(pairs, kinds) -> list[list[float]]:
         last = _last_call = None  # free the old workspaces first, for a lower peak memory
         groups = {}
         for i, (rho, a) in enumerate(pairs):
-            groups.setdefault((rho.dim, a.outcomes), []).append(i)
+            blocks = a._pinching_blocks
+            group = rho.dim, a.outcomes, None if blocks is None else blocks.key
+            groups.setdefault(group, (blocks, []))[1].append(i)
         workspaces = [
             (members, _Gains(
                 np.stack([pairs[i][0].matrix for i in members]),
                 np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members]),
-                d_e))
-            for (_, d_e), members in groups.items()]
+                d_e, blocks))
+            for (_, d_e, _), (blocks, members) in groups.items()]
         last = _last_call = key, tuple(pairs), workspaces
     deltas = [None] * len(pairs)
     for members, gains in last[2]:
@@ -320,7 +324,8 @@ def _realism_maxes(kinds, d_e: int) -> list[float]:
     geometric = [kind for kind in missing if not _entropic(kind)]
     if geometric:
         rho, a = max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e))
-        gains = _Gains(np.stack([rho.matrix]), np.stack([channels.phi_map(rho.matrix, a)]), d_e)
+        gains = _Gains(np.stack([rho.matrix]), np.stack([channels.phi_map(rho.matrix, a)]), d_e,
+                       a._pinching_blocks)
         values.update((kind, gains.column(kind).tolist()[0]) for kind in geometric)
     values.update((kind, float(np.log(d_e))) for kind in missing if kind not in geometric)
     if len(_rmax_table) + len(missing) > 256:

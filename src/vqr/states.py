@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +94,18 @@ def validate_state(m, dims: Sequence[int]) -> DensityMatrix:
     return rho
 
 
+class PinchingBlocks(NamedTuple):
+    """The blocks of a pinching sum_a P_a m P_a whose projectors are exact
+    0/1 diagonals: by_size holds one (K, s) array per block size s, in order
+    of first appearance, whose rows are the ascending ambient indices of its
+    K blocks; kept holds the row-major flat indices of the entries inside
+    the blocks, ascending; key is kept's bytes, equal for equal blocks."""
+
+    by_size: tuple[np.ndarray, ...]
+    kept: np.ndarray
+    key: bytes
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A d-outcome projective decomposition A = sum_a a_a P_a on one subsystem.
@@ -169,26 +181,38 @@ class Observable:
         return tuple(full)
 
     @cached_property
-    def _pinching_mask(self) -> np.ndarray | None:
-        """Where sum_a P_a m P_a keeps m's entries, or None.
+    def _pinching_blocks(self) -> PinchingBlocks | None:
+        """The blocks that sum_a P_a m P_a keeps of m, or None.
 
-        Defined only when every projector is an exact 0/1 diagonal; then
-        ambient basis indices i and j share a block iff the subsystem
-        index (i // d_right) % d of each lies in the same projector.
+        Defined only when every projector is an exact 0/1 diagonal and
+        each subsystem index lies in exactly one of them; then ambient
+        basis indices i and j share a block iff the subsystem index
+        (i // d_right) % d of each lies in the same projector, and the
+        pinching keeps m's entries inside the blocks and zeroes the rest.
         Built from the d x d projectors, never from the embedded ones.
         """
         stack = np.array(self.projectors)
         diag = np.diagonal(stack, axis1=1, axis2=2)
-        # every nonzero entry is a diagonal 1 iff the counts agree
-        if np.count_nonzero(stack) != np.count_nonzero(diag == 1):
+        # every nonzero entry is a diagonal 1 iff the counts agree; then the
+        # blocks partition the indices iff each index is in one projector,
+        # as in every validated or vqr-built observable
+        ones = diag == 1
+        if np.count_nonzero(stack) != np.count_nonzero(ones) or not (ones.sum(axis=0) == 1).all():
             return None
-        # complete orthogonal 0/1 diagonals, as every validated or vqr-built
-        # observable has, hold each index in exactly one projector
-        local = diag.real.argmax(axis=0)
+        local = ones.argmax(axis=0)
         d_right = math.prod(self.dims[self.subsystem + 1 :])
         index = np.arange(math.prod(self.dims))
         label = local[(index // d_right) % self.subsystem_dim]
-        return label[:, None] == label[None, :]
+        sizes = {}
+        for k in range(self.outcomes):
+            block = np.flatnonzero(label == k)
+            if len(block):  # a zero projector keeps nothing
+                sizes.setdefault(len(block), []).append(block)
+        by_size = tuple(np.array(blocks) for blocks in sizes.values())
+        kept = np.flatnonzero(label[:, None] == label[None, :])
+        for indices in (*by_size, kept):
+            indices.flags.writeable = False
+        return PinchingBlocks(by_size, kept, kept.tobytes())
 
     def scoped(self, dims: Sequence[int], subsystem: int) -> "Observable":
         """The same projective decomposition placed in another ambient space."""
@@ -317,9 +341,20 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _sample_dimension(d, name: str) -> int:
+    """A sampler's dimension, by linalg.as_index; below 1 is OutOfRange."""
+    d = linalg.as_index(d, name)
+    if d < 1:
+        raise OutOfRange(f"{name} must be at least 1, got {d}")
+    return d
+
+
 def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
-    rng = np.random.default_rng(seed)
+    """Haar-random unitary via QR of a Ginibre matrix with phase fix.  A
+    dimension below 1 or a negative seed raises OutOfRange, a non-integral
+    one DimensionMismatch."""
+    d = _sample_dimension(d, "unitary dimension")
+    rng = np.random.default_rng(linalg.as_seed(seed))
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
@@ -329,10 +364,10 @@ def random_density(
     d: int, rank: int, seed, dims: Sequence[int] | None = None
 ) -> DensityMatrix:
     """Ginibre random state: G G^dag / Tr(G G^dag) with G of shape d x rank."""
-    d, rank = linalg.as_index(d, "state dimension"), linalg.as_index(rank, "rank")
+    d, rank = _sample_dimension(d, "state dimension"), linalg.as_index(rank, "rank")
     if not 1 <= rank <= d:
         raise OutOfRange(f"rank must be in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(linalg.as_seed(seed))
     g = _ginibre(rng, d, rank)
     m = g @ g.conj().T
     m /= np.trace(m).real
@@ -362,7 +397,8 @@ def random_observables(draws) -> list[Observable]:
     are decomposed as one stack per dimension, which gives each member the
     bits of its own decomposition.
     """
-    draws = list(draws)
+    draws = [(_sample_dimension(d, "observable dimension"), linalg.as_seed(seed), subsystem, dims)
+             for d, seed, subsystem, dims in draws]
     hermitian = []
     for d, seed, _, _ in draws:
         g = _ginibre(np.random.default_rng(seed), d, d)

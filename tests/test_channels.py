@@ -90,7 +90,7 @@ BLOCK_ON_SECOND = Observable(
 
 
 class TestPinchingMask:
-    """The 0/1-diagonal mask path of phi_map against the dense sum."""
+    """The 0/1-diagonal block path of phi_map against the dense sum."""
 
     @pytest.mark.parametrize(
         "obs",
@@ -105,7 +105,7 @@ class TestPinchingMask:
         ids=["comp0", "comp1", "comp2", "block", "spin", "spin_neg_cos"],
     )
     def test_matches_dense_sum_bit_for_bit(self, obs):
-        assert obs._pinching_mask is not None
+        assert obs._pinching_blocks is not None
         rng = np.random.default_rng(8)
         n = int(np.prod(obs.dims))
         for _ in range(5):
@@ -127,11 +127,25 @@ class TestPinchingMask:
             Observable(
                 (np.diag([1.0 + 1e-12, 0.0]), np.diag([0.0, 1.0])), (0.0, 1.0), 0, (2,)
             ),
+            Observable((np.diag([1.0, 0.0]), np.diag([0.0, 0.0])), (0.0, 1.0), 0, (2,)),
+            Observable((np.diag([1.0, 1.0]), np.diag([0.0, 1.0])), (0.0, 1.0), 0, (2,)),
         ],
-        ids=["random", "spin_tilted", "near_one"],
+        ids=["random", "spin_tilted", "near_one", "incomplete", "overlapping"],
     )
     def test_no_mask_for_general_projectors(self, obs):
-        assert obs._pinching_mask is None
+        # unvalidated projectors that do not partition the indices take the
+        # dense sum, which the blocks would not give
+        assert obs._pinching_blocks is None
+        n = int(np.prod(obs.dims))
+        m = np.full((n, n), 1.0 / n, dtype=complex)
+        assert np.array_equal(phi_map(m, obs), sum(p @ m @ p for p in obs.full_projectors))
+
+    def test_blocks_hold_the_ambient_indices_by_size(self):
+        blocks = BLOCK_ON_SECOND._pinching_blocks
+        assert [b.tolist() for b in blocks.by_size] == [[[0, 3]], [[1, 2, 4, 5]]]
+        same = spin_observable(0.7, 0.0, 0, (2, 2))._pinching_blocks
+        assert same.key == computational_observable(2, 0, (2, 2))._pinching_blocks.key
+        assert same.key != computational_observable(2, 1, (2, 2))._pinching_blocks.key
 
     def test_wrong_size_still_rejected(self):
         with pytest.raises(
@@ -200,6 +214,15 @@ class TestHasReality:
 
     def test_werner_not_real_despite_trace_plateau(self):
         assert not has_reality(werner(0.2), SIGMA_Z_ON_FIRST)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_a_negative_or_non_finite_tol_raises(self, tol):
+        # -1 and nan made every state unreal
+        with pytest.raises(OutOfRange, match="reality tolerance must be finite and >= 0"):
+            has_reality(werner(0.2), SIGMA_Z_ON_FIRST, tol=tol)
+
+    def test_a_zero_tol_is_allowed(self):
+        assert has_reality(validate_state(np.diag([0.5, 0.5]), (2,)), SZ, tol=0.0)
 
 
 class TestPinchingIdentities:

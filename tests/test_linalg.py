@@ -292,6 +292,31 @@ class TestStackedCore:
             linalg.hermitian_eig(np.zeros((2, 3, 4)))
 
 
+class TestStridedStacks:
+    """A stack gathered by fancy indexing, as the pinching blocks are, has
+    a last axis that is not unit-stride; each routine gives it the bits of
+    its contiguous copy."""
+
+    @staticmethod
+    def gathered():
+        stack = np.stack([random_psd(4, 71), random_psd(4, 72), np.eye(4, dtype=complex)])
+        blocks = np.array([[0, 2], [1, 3]])
+        out = stack[..., blocks[:, :, None], blocks[:, None, :]]
+        assert out.shape == (3, 2, 2, 2) and out.strides[-1] != out.itemsize
+        return out
+
+    @pytest.mark.parametrize("call", [
+        linalg.hermitian_eig,
+        lambda m: linalg.matrix_function(m, np.exp),
+        linalg.sqrtm_psd,
+    ], ids=["hermitian_eig", "matrix_function", "sqrtm_psd"])
+    def test_gives_the_bits_of_the_contiguous_copy(self, call):
+        strided = self.gathered()
+        got, expected = call(strided), call(np.ascontiguousarray(strided))
+        pairs = zip(got, expected) if isinstance(got, tuple) else [(got, expected)]
+        assert all(_same_bits(a, b) for a, b in pairs)
+
+
 class TestMatrixFunction:
     def test_identity_function(self):
         m = np.diag([1.0, 4.0]).astype(complex)
@@ -330,6 +355,14 @@ class TestMatrixFunction:
         m = np.diag([1.0, 0.0]).astype(complex)
         out = linalg.powm_psd(m, 1.5)
         assert np.allclose(out, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_power_raises(self, alpha):
+        # 1 ** nan is 1: without the check powm_psd(eye, nan) is the identity
+        with pytest.raises(InvalidOrder, match="matrix power must be finite"):
+            linalg.powm_psd(np.eye(2), alpha)
+        with pytest.raises(InvalidOrder, match="matrix power must be finite"):
+            linalg.floored_power([0.0, 1.0, 0.5], alpha)
 
     def test_scalar_callable_accepted(self):
         import math

@@ -16,6 +16,7 @@ from vqr.channels import (
     monitor,
     phi_map,
 )
+from vqr import metrics
 from vqr.errors import DimensionMismatch, InvalidOrder
 from vqr.metrics import (
     BURES,
@@ -48,6 +49,7 @@ from vqr.realism import (
 )
 from vqr.states import (
     DensityMatrix,
+    Observable,
     computational_observable,
     max_entangled,
     mu_state,
@@ -610,6 +612,64 @@ class TestPerKindCallsShareOnePass:
         linalg_counts.reset()
         realism(rho, obs, HELLINGER)
         assert linalg_counts.calls()["eigh"] == 0
+
+
+ONE_ONE_TWO = Observable(
+    tuple(np.diag(row).astype(complex) for row in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])),
+    (0.0, 1.0, 2.0), 0, (4, 2))
+
+
+class TestBlockRootProduct:
+    """For an observable of exact 0/1 diagonal projectors, the root product
+    sqrt(Phi) sqrt(rho) takes sqrt(Phi) block by block."""
+
+    @pytest.mark.parametrize("obs", [
+        computational_observable(2, 0, (2, 3)),
+        computational_observable(3, 0, (3, 2)),
+        computational_observable(4, 0, (4, 4)),
+        ONE_ONE_TWO,
+    ], ids=["comp_2x3", "comp_3x2", "comp_4x4", "blocks_112"])
+    def test_meets_the_dense_route(self, obs, linalg_counts):
+        n = obs.subsystem_dim * obs.dims[1]
+        rhos = np.stack([random_density(n, n - i % 3, 12000 + i, dims=obs.dims).matrix
+                         for i in range(50)])
+        phis = np.stack([phi_map(rho, obs) for rho in rhos])
+        blocks = obs._pinching_blocks
+        linalg_counts.reset()
+        by_block = metrics._Distances(rhos, phis, blocks)
+        by_block.root
+        # sqrt(rho), then one stacked sqrtm_psd per block size
+        assert linalg_counts.shapes["eigh"] == [(50, n, n)] + [
+            (50, *indices.shape, indices.shape[1]) for indices in blocks.by_size]
+        dense = metrics._Distances(rhos, phis)
+        for kind in (BURES, HELLINGER):
+            assert np.abs(by_block.powered(kind) - dense.powered(kind)).max() <= 1e-14
+        assert len(blocks.by_size) == (2 if obs is ONE_ONE_TWO else 1)
+
+    def test_no_eigh_of_phi_is_the_whole_matrix(self, linalg_counts):
+        rho = random_density(256, 256, 12100, dims=(16, 16))
+        obs = computational_observable(16, 0, (16, 16))
+        realism_max(BURES, 16)
+        linalg_counts.reset()
+        realism(rho, obs, BURES)
+        # sqrt(rho) whole, and Phi's 16 blocks of 16 in one call
+        assert linalg_counts.shapes["eigh"] == [(1, 256, 256), (1, 16, 16, 16)]
+
+    def test_mask_and_dense_pairs_in_one_call_keep_their_own_bits(self):
+        kinds = [parse_kind(token) for token in ("tr", "hs", "bu", "he", "vn", "lp3")]
+        observables = [
+            computational_observable(2, 0, (2, 2)),
+            spin_observable(0.7, 0.0, 0, (2, 2)),
+            spin_observable(0.7, np.pi / 4, 0, (2, 2)),
+            random_observable(2, 12201, 0, (2, 2)),
+            computational_observable(2, 1, (2, 2)),
+        ]
+        pairs = [(random_density(4, 4 - i % 2, 12300 + i, dims=(2, 2)), obs)
+                 for i, obs in enumerate(observables * 2)]
+        together = _deltas(pairs, kinds)
+        alone = [_deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+                 for rho, obs in pairs]
+        assert together == alone
 
 
 class TestRealismReport:

@@ -429,6 +429,29 @@ class TestRandomSampling:
         with pytest.raises(DimensionMismatch, match=r"dims must be positive, got \(2, 0\)"):
             random_pure((2, 0), 1)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: random_density(4, 4, -1), OutOfRange, "seed must be at least 0, got -1"),
+        (lambda: random_observable(2, -1), OutOfRange, "seed must be at least 0, got -1"),
+        (lambda: states.haar_unitary(2, -1), OutOfRange, "seed must be at least 0, got -1"),
+        (lambda: random_pure((2,), -1), OutOfRange, "seed must be at least 0, got -1"),
+        (lambda: random_density(2, 2, 1.5), DimensionMismatch, "seed must be an integer, got 1.5"),
+        (lambda: states.haar_unitary(2.5, 1), DimensionMismatch,
+         "unitary dimension must be an integer, got 2.5"),
+        (lambda: random_observable(2.5, 1), DimensionMismatch,
+         "observable dimension must be an integer, got 2.5"),
+        (lambda: states.haar_unitary(0, 1), OutOfRange,
+         "unitary dimension must be at least 1, got 0"),
+        (lambda: random_observable(0, 1), OutOfRange,
+         "observable dimension must be at least 1, got 0"),
+        (lambda: random_density(0, 1, 1), OutOfRange, "state dimension must be at least 1, got 0"),
+    ], ids=["density_seed", "observable_seed", "unitary_seed", "pure_seed", "float_seed",
+            "unitary_float_dim", "observable_float_dim", "unitary_zero_dim",
+            "observable_zero_dim", "density_zero_dim"])
+    def test_bad_seeds_and_sizes_raise_named_errors(self, call, error, message):
+        # the seed rule is metrics._require_trials', through linalg.as_seed
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
     def test_haar_unitary_is_unitary(self):
         u = states.haar_unitary(5, seed=11)
         assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
