@@ -36,14 +36,6 @@ DEGENERACY_GAP = 1e-9
 SPECTRAL_FLOOR = 1e-14
 
 
-def as_square(m) -> np.ndarray:
-    """Coerce to a square complex ndarray without reshaping."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def as_index(value, name: str) -> int:
     """An integer, such as a dimension, by operator.index: anything else,
     2.5 or 2.0 too, raises DimensionMismatch naming it."""
@@ -51,6 +43,26 @@ def as_index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_count(value, name: str) -> int:
+    """A sampler's dimension or a trial count, by as_index; below 1 is OutOfRange."""
+    value = as_index(value, name)
+    if value < 1:
+        raise OutOfRange(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def as_dims(dims, size: int | None = None, name: str = "dims") -> tuple[int, ...]:
+    """Subsystem dimensions: each entry by as_index, and DimensionMismatch
+    for one below 1 or, when size is given, for a product other than size."""
+    entry = f"{name} entry"
+    dims = tuple(as_index(d, entry) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"{name} must be positive, got {dims}")
+    if size is not None and math.prod(dims) != size:
+        raise DimensionMismatch(f"{name} {dims} do not factor a {size}-dim matrix")
+    return dims
 
 
 def as_seed(seed) -> int:
@@ -74,9 +86,17 @@ def as_keep(keep, n: int) -> tuple[int, ...]:
 
 def as_stack(m) -> np.ndarray:
     """Coerce to a complex ndarray of square matrices, one (d, d) or a stack
-    (..., d, d), without reshaping."""
+    (..., d, d) with d >= 1, without reshaping; a stack may be empty."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or not arr.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix of size >= 1, got shape {arr.shape}")
+    return arr
+
+
+def as_square(m) -> np.ndarray:
+    """as_stack of one (d, d) matrix."""
+    arr = as_stack(m)
+    if arr.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
@@ -320,11 +340,7 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     as_keep.  Kept subsystems stay in ascending index order.
     """
     arr = as_square(m)
-    dims = tuple(as_index(d, "dims entry") for d in dims)
-    if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
-        raise DimensionMismatch(
-            f"subsystem dims {dims} do not factor a {arr.shape[0]}-dim matrix"
-        )
+    dims = as_dims(dims, arr.shape[0])
     n = len(dims)
     keep = as_keep(keep, n)
     if len(keep) == n:

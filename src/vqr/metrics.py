@@ -321,11 +321,9 @@ def _stacked(values, kinds, pairs) -> list[tuple]:
 
 def _require_trials(seed: int, **counts: int) -> None:
     """The rule of every check's entry point: each trial count, named by its
-    keyword, goes through linalg.as_index, with OutOfRange for a count below
-    1, and the seed through linalg.as_seed, the samplers' seed rule."""
+    keyword, by linalg.as_count, and the seed by linalg.as_seed."""
     for name, count in counts.items():
-        if linalg.as_index(count, name) < 1:
-            raise OutOfRange(f"{name} must be at least 1, got {count}")
+        linalg.as_count(count, name)
     linalg.as_seed(seed)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -218,46 +218,37 @@ class _Gains:
         return i_t - i_0
 
 
-# The last _deltas call: the identities of its (rho, A) pairs, the pairs,
-# and the members and _Gains of each group.  Per-kind calls on one pair
-# share the group's intermediates through it.  DensityMatrix and Observable
-# are frozen and hold read-only copies, so an identity names one value; the
-# entry holds the pairs, so their identities cannot be reused while it is
-# kept.  A call reads the entry once, so another thread replacing it does
-# not change the workspaces the call uses.
-_last_call = None
+def _groups(pairs) -> tuple[tuple[list[int], _Gains], ...]:
+    """The members and _Gains, from one Phi(rho) per pair, of each group of
+    (rho, A) pairs with one matrix dimension, outcome count (a scalar in
+    every formula) and pinching blocks (None for a dense observable), in
+    order of first appearance; each pair gets the bits it would get alone."""
+    groups = {}
+    for i, (rho, a) in enumerate(pairs):
+        blocks = a._pinching_blocks
+        group = rho.dim, a.outcomes, None if blocks is None else blocks.key
+        groups.setdefault(group, (blocks, []))[1].append(i)
+    return tuple(
+        (members, _Gains(
+            np.stack([pairs[i][0].matrix for i in members]),
+            np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members]),
+            d_e, blocks))
+        for (_, d_e, _), (blocks, members) in groups.items())
+
+
+# The _groups of the last _deltas call.  Its key compares the pairs by
+# identity (eq=False), a safe key: the inputs hold read-only copies, and the
+# entry holds its key, so no identity is reused while the entry is kept.
+_last_groups = lru_cache(maxsize=1)(_groups)
 
 
 def _deltas(pairs, kinds) -> list[list[float]]:
-    """delta_conditional_information of each kind for each (rho, A) pair:
-    one list per pair, in input order.  Pairs that share the matrix
-    dimension, the outcome count (a scalar in every formula) and the
-    pinching blocks (Observable._pinching_blocks, None for a dense
-    observable) are evaluated as one stack, from one Phi(rho) per pair;
-    each pair gets the bits it would get on its own.  The stacks and their
-    intermediates are kept until the next call, which reuses them when it
-    is on the same pairs."""
-    global _last_call
+    """delta_conditional_information of each kind for each (rho, A) pair, one
+    list per pair in input order, from _last_groups: a call on the same pairs reuses them."""
     for rho, a in pairs:
         channels._require_same_space(rho, a)
-    key = [(id(rho), id(a)) for rho, a in pairs]
-    last = _last_call
-    if last is None or last[0] != key:
-        last = _last_call = None  # free the old workspaces first, for a lower peak memory
-        groups = {}
-        for i, (rho, a) in enumerate(pairs):
-            blocks = a._pinching_blocks
-            group = rho.dim, a.outcomes, None if blocks is None else blocks.key
-            groups.setdefault(group, (blocks, []))[1].append(i)
-        workspaces = [
-            (members, _Gains(
-                np.stack([pairs[i][0].matrix for i in members]),
-                np.stack([channels.phi_map(pairs[i][0].matrix, pairs[i][1]) for i in members]),
-                d_e, blocks))
-            for (_, d_e, _), (blocks, members) in groups.items()]
-        last = _last_call = key, tuple(pairs), workspaces
     deltas = [None] * len(pairs)
-    for members, gains in last[2]:
+    for members, gains in _last_groups(tuple(pairs)):
         columns = [gains.column(kind).tolist() for kind in kinds]
         for j, i in enumerate(members):
             deltas[i] = [column[j] for column in columns]
@@ -323,9 +314,7 @@ def _realism_maxes(kinds, d_e: int) -> list[float]:
     missing = [kind for kind, value in values.items() if value is None]
     geometric = [kind for kind in missing if not _entropic(kind)]
     if geometric:
-        rho, a = max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e))
-        gains = _Gains(np.stack([rho.matrix]), np.stack([channels.phi_map(rho.matrix, a)]), d_e,
-                       a._pinching_blocks)
+        [(_, gains)] = _groups([(max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e)))])
         values.update((kind, gains.column(kind).tolist()[0]) for kind in geometric)
     values.update((kind, float(np.log(d_e))) for kind in missing if kind not in geometric)
     if len(_rmax_table) + len(missing) > 256:

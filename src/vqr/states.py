@@ -53,11 +53,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = linalg.as_square(self.matrix)
-        dims = tuple(linalg.as_index(d, "dims entry") for d in self.dims)
-        if any(d < 1 for d in dims) or math.prod(dims) != arr.shape[0]:
-            raise DimensionMismatch(
-                f"dims {dims} do not factor a {arr.shape[0]}-dim matrix"
-            )
+        dims = linalg.as_dims(self.dims, arr.shape[0])
         object.__setattr__(self, "matrix", _frozen(arr))
         object.__setattr__(self, "dims", dims)
 
@@ -112,8 +108,8 @@ class Observable:
 
     Projectors are given in the subsystem's own dimension; `subsystem` and
     `dims` say where the observable sits inside the ambient product space.
-    Construction checks only the structure: the subsystem, one eigenvalue
-    per projector and d x d projectors.  vqr builds its own observables this
+    Construction checks only the structure: dims by linalg.as_dims, the
+    subsystem, one eigenvalue per projector and d x d projectors.  vqr builds its own observables this
     way; projectors from outside vqr go through `validate_observable`.
     """
 
@@ -123,7 +119,7 @@ class Observable:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(linalg.as_index(d, "dims entry") for d in self.dims)
+        dims = linalg.as_dims(self.dims)
         sub = linalg.as_index(self.subsystem, "subsystem")
         if not 0 <= sub < len(dims):
             raise DimensionMismatch(f"subsystem {sub} invalid for dims {dims}")
@@ -341,19 +337,11 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _sample_dimension(d, name: str) -> int:
-    """A sampler's dimension, by linalg.as_index; below 1 is OutOfRange."""
-    d = linalg.as_index(d, name)
-    if d < 1:
-        raise OutOfRange(f"{name} must be at least 1, got {d}")
-    return d
-
-
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix.  A
     dimension below 1 or a negative seed raises OutOfRange, a non-integral
     one DimensionMismatch."""
-    d = _sample_dimension(d, "unitary dimension")
+    d = linalg.as_count(d, "unitary dimension")
     rng = np.random.default_rng(linalg.as_seed(seed))
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     diag = np.diag(r)
@@ -364,7 +352,7 @@ def random_density(
     d: int, rank: int, seed, dims: Sequence[int] | None = None
 ) -> DensityMatrix:
     """Ginibre random state: G G^dag / Tr(G G^dag) with G of shape d x rank."""
-    d, rank = _sample_dimension(d, "state dimension"), linalg.as_index(rank, "rank")
+    d, rank = linalg.as_count(d, "state dimension"), linalg.as_index(rank, "rank")
     if not 1 <= rank <= d:
         raise OutOfRange(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(linalg.as_seed(seed))
@@ -376,9 +364,7 @@ def random_density(
 
 def random_pure(dims: Sequence[int], seed) -> DensityMatrix:
     """Haar-random pure state: a random unitary applied to |0...0>."""
-    dims = tuple(linalg.as_index(d, "dims entry") for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"dims must be positive, got {dims}")
+    dims = linalg.as_dims(dims)
     psi = haar_unitary(math.prod(dims), seed)[:, 0]
     return DensityMatrix(np.outer(psi, psi.conj()), dims)
 
@@ -397,7 +383,7 @@ def random_observables(draws) -> list[Observable]:
     are decomposed as one stack per dimension, which gives each member the
     bits of its own decomposition.
     """
-    draws = [(_sample_dimension(d, "observable dimension"), linalg.as_seed(seed), subsystem, dims)
+    draws = [(linalg.as_count(d, "observable dimension"), linalg.as_seed(seed), subsystem, dims)
              for d, seed, subsystem, dims in draws]
     hermitian = []
     for d, seed, _, _ in draws:
@@ -435,11 +421,7 @@ def _json_list(value, name: str) -> list:
 
 
 def _json_dims(obj) -> tuple[int, ...]:
-    raw = _json_list(_field(obj, "dims"), "'dims'")
-    dims = tuple(linalg.as_index(d, "'dims' entry") for d in raw)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"'dims' must be positive, got {list(dims)}")
-    return dims
+    return linalg.as_dims(_json_list(_field(obj, "dims"), "'dims'"), name="'dims'")
 
 
 def matrix_from_entries(entries, dim: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +55,20 @@ class SweepSpec:
             raise OutOfRange(f"unknown experiment {self.experiment!r}; "
                              f"experiments are {', '.join(EXPERIMENTS)}")
         experiment = EXPERIMENTS[self.experiment]
-        object.__setattr__(self, "grid", {**experiment.defaults, **self.grid})
+        unknown = [key for key in self.grid if key not in experiment.defaults]
+        if unknown:
+            raise OutOfRange(f"unknown grid key {unknown[0]!r} for {self.experiment}; "
+                             f"its keys are {', '.join(experiment.defaults)}")
+        if self.format not in ("csv", "json"):
+            raise OutOfRange(f"unknown format {self.format!r}; formats are csv, json")
+        grid = {**experiment.defaults, **self.grid}
+        if "phis" in grid:  # the mu angles, as floats: a list and a tuple hash alike
+            phis = grid["phis"]
+            phis = None if isinstance(phis, str) or not np.iterable(phis) else tuple(phis)
+            if phis is None or not all(isinstance(phi, numbers.Real) for phi in phis):
+                raise OutOfRange(f"phis must be a collection of numbers, got {grid['phis']!r}")
+            grid["phis"] = tuple(map(float, phis))
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kinds", tuple(self.kinds) or experiment.kinds)
 
     def spec_hash(self) -> str:
@@ -168,7 +182,7 @@ def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     steps = as_index(spec.grid["mu_steps"], "mu_steps")
     if steps < 2:
         raise OutOfRange(f"need at least 2 grid points, got {steps}")
-    phis = tuple(float(p) for p in spec.grid["phis"])
+    phis = spec.grid["phis"]
     if not phis:
         raise OutOfRange("need at least one azimuthal angle")
     kinds = [parse_kind(t) for t in spec.kinds]

@@ -115,6 +115,25 @@ class TestWernerSweep:
         with pytest.raises(OutOfRange, match="unknown experiment 'wener'"):
             SweepSpec("wener")
 
+    @pytest.mark.parametrize("spec, match", [
+        (("werner", {"eps_step": 11}),
+         "unknown grid key 'eps_step' for werner; its keys are eps_steps"),
+        (("rmax", {"d_max": 4, "phis": [0.0]}), "unknown grid key 'phis' for rmax"),
+        (("werner", {}, (), SEED, "xml"), "unknown format 'xml'; formats are csv, json"),
+        (("mu", {"phis": "0,1"}), "phis must be a collection of numbers, got '0,1'"),
+        (("mu", {"phis": [None]}), r"phis must be a collection of numbers, got \[None\]"),
+        (("mu", {"phis": 0.5}), "phis must be a collection of numbers, got 0.5"),
+    ], ids=["grid_key", "other_experiments_key", "format", "phis_text", "phis_none", "phis_scalar"])
+    def test_a_spec_nothing_reads_raises(self, spec, match):
+        with pytest.raises(OutOfRange, match=match):
+            SweepSpec(*spec)
+
+    def test_phis_resolve_to_floats_once(self):
+        spec = SweepSpec("mu", {"mu_steps": 2, "phis": np.array([0.0, np.pi / 2])})
+        assert spec.grid["phis"] == (0.0, np.pi / 2)
+        listed = SweepSpec("mu", {"mu_steps": 2, "phis": [0.0, np.pi / 2]})
+        assert spec.spec_hash() == listed.spec_hash()
+
     def test_gnuplot_columns_follow_the_fields(self):
         using = {name: gnuplot_script(SweepSpec(name), "t.csv").split("using ")[1].split(" \\")[0]
                  for name in ("werner", "rmax", "mu")}

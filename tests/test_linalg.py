@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqr import linalg
+from vqr import linalg, metrics
 from vqr.errors import DimensionMismatch, DomainError, InvalidOrder, NotHermitian
 
 
@@ -15,6 +15,22 @@ def random_psd(d, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g @ g.conj().T
+
+
+@pytest.mark.parametrize("call", [
+    linalg.hermitian_eig,
+    lambda m: linalg.matrix_function(m, np.exp),
+    linalg.sqrtm_psd,
+    metrics.von_neumann_entropy,
+    lambda m: metrics.fidelity(m, m),
+    lambda m: metrics.relative_entropy(m, m),
+    lambda m: linalg.schatten_norm(m, 1),
+    lambda m: metrics.trace_distance(m, m),
+], ids=["hermitian_eig", "matrix_function", "sqrtm_psd", "von_neumann_entropy", "fidelity",
+        "relative_entropy", "schatten_norm", "trace_distance"])
+def test_a_zero_size_matrix_raises_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match=r"size >= 1, got shape \(0, 0\)"):
+        call(np.zeros((0, 0)))
 
 
 class TestHermitianEig:

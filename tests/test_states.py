@@ -233,6 +233,18 @@ class TestObservableInvariants:
         with pytest.raises(NonProjective):
             validate_observable((p0, p1), (1.0, 1.0), 0, (2,))
 
+    @pytest.mark.parametrize("call, dims", [
+        (lambda: Observable((np.eye(2),), (1.0,), 0, (2, 0)), (2, 0)),
+        (lambda: computational_observable(2, 0, (2, 0)), (2, 0)),
+        (lambda: random_observable(2, 1, 0, (2, -1)), (2, -1)),
+        (lambda: observable_from_json(observable_to_json(computational_observable(2, 0, (2, 0)))),
+         (2, 0)),
+    ], ids=["constructor", "computational", "random", "json_round_trip"])
+    def test_dims_below_one_raise(self, call, dims):
+        with pytest.raises(DimensionMismatch) as raised:
+            call()
+        assert str(raised.value) == f"dims must be positive, got {dims}"
+
     def test_accepts_block_projectors(self):
         p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         p_block = np.diag([0.0, 1.0, 1.0]).astype(complex)
