@@ -46,10 +46,7 @@ from .metrics import (
     VON_NEUMANN,
     DistanceKind,
     DivergenceKind,
-    PropertyReport,
     bures_distance_sq,
-    check_distance_properties,
-    expected_distance_properties,
     fidelity,
     hellinger_distance_sq,
     lp,
@@ -73,6 +70,7 @@ from .realism import (
     realism,
     realism_max,
 )
+from .trials import PropertyReport, check_distance_properties, expected_distance_properties
 from .audit import run_audit
 from .states import (
     DensityMatrix,

@@ -20,8 +20,7 @@ import numpy as np
 from . import metrics
 from .channels import has_reality, measure_nonselective, monitor
 from .errors import OutOfRange
-from .metrics import expected_distance_properties
-from .realism import TOL_VQR, _deltas, realism_max
+from .realism import TOL_VQR, gains, realism_max
 from .states import (
     DensityMatrix,
     random_density,
@@ -29,6 +28,13 @@ from .states import (
     random_observables,
     spin_observable,
     werner,
+)
+from .trials import (
+    expected_distance_properties,
+    property_reports,
+    random_instances,
+    require_trials,
+    trial_blocks,
 )
 
 AXIOMS = ("axiom1", "axiom2a", "axiom2b", "axiom3", "axiom4")
@@ -76,6 +82,8 @@ KNOWN_DEVIATIONS = {
 _CHAIN_TOL = 1e-10
 _EQUALITY_TOL = 1e-10
 _SUM_TOL = 1e-9
+# The dims cycle of the trials of the bipartite searches.
+_BIPARTITE = ((2, 2), (2, 3), (3, 2))
 
 
 # --------------------------------------------------------------------------
@@ -85,11 +93,6 @@ _SUM_TOL = 1e-9
 # witness(kind, *gains), which judges the gains of those pairs for one kind
 # and returns a witness or None.
 # --------------------------------------------------------------------------
-
-
-def _bipartite_instances(seed, block):
-    """Trial i's (rho, A) at dims (2, 2), (2, 3) or (3, 2) by i % 3."""
-    return metrics._random_instances(seed, block, [[(2, 2), (2, 3), (3, 2)][i % 3] for i in block])
 
 
 def _monitoring_chain(rho, a, label, probe_seed):
@@ -118,8 +121,8 @@ def _axiom1_cases(seed, trials):
     obs = spin_observable(0.0, 0.0, subsystem=0, dims=(2, 2))
     for eps in (0.2, 0.05, 0.1, 0.15, 0.25, 0.3):
         yield -1, _monitoring_chain(werner(eps), obs, f"werner({eps:g}) with sigma_z", seed)
-    for block in metrics._trial_blocks(range(trials)):
-        for i, (rho, a) in zip(block, _bipartite_instances(seed, block)):
+    for block in trial_blocks(range(trials)):
+        for i, (rho, a) in zip(block, random_instances(seed, block, _BIPARTITE)):
             s = seed + i
             yield s, _monitoring_chain(rho, a, f"random bipartite (trial {i})", s)
 
@@ -146,9 +149,8 @@ def _axiom2a_cases(seed, trials):
     big_pair = (big, a_small.scoped((2, 2, 2), 0))
     yield -1, _bystander(label, (rho, a_small), big_pair)
 
-    dimsets = [(2, 2, 2), (3, 2, 2), (2, 3, 2)]
-    for block in metrics._trial_blocks(range(trials)):
-        instances = metrics._random_instances(seed, block, [dimsets[i % 3] for i in block])
+    for block in trial_blocks(range(trials)):
+        instances = random_instances(seed, block, ((2, 2, 2), (3, 2, 2), (2, 3, 2)))
         for i, (rho, a) in zip(block, instances):
             label = f"random tripartite state, dims {rho.dims} (trial {i})"
             small = (rho.reduced((0, 1)), a.scoped(rho.dims[:2], 0))
@@ -156,8 +158,8 @@ def _axiom2a_cases(seed, trials):
 
 
 def _axiom2b_cases(seed, trials):
-    for block in metrics._trial_blocks(range(trials)):
-        for i, (rho, a) in zip(block, _bipartite_instances(seed, block)):
+    for block in trial_blocks(range(trials)):
+        for i, (rho, a) in zip(block, random_instances(seed, block, _BIPARTITE)):
             s = seed + i
             sigma = random_density(2, 2, s + 60013)
             big = DensityMatrix(np.kron(rho.matrix, sigma.matrix), rho.dims + (2,))
@@ -214,7 +216,7 @@ def _mixing(label, probs, parts, a):
 
 
 def _axiom4_cases(seed, trials):
-    for block in metrics._trial_blocks(range(trials)):
+    for block in trial_blocks(range(trials)):
         observables = random_observables((2, seed + i + 90500, 0, (2, 2)) for i in block)
         for i, a in zip(block, observables):
             s = seed + i
@@ -236,7 +238,7 @@ _AXIOM_CASES = {
 
 def _first_witnesses(axiom: str, tokens, trials: int, seed: int) -> list[tuple]:
     """Search one axiom for every kind at once, a block of cases at a time:
-    one _deltas pass gives the gains of every pair of the block for the
+    one gains pass gives the gains of every pair of the block for the
     kinds still without a witness, then the cases are judged in order, so
     every kind gets the (witness, witness_seed) of its own first failing
     case, or (None, None).  The search stops after the block in which the
@@ -244,12 +246,12 @@ def _first_witnesses(axiom: str, tokens, trials: int, seed: int) -> list[tuple]:
     kinds = [metrics.parse_kind(token) for token in tokens]
     found = [(None, None)] * len(kinds)
     cell_seed = seed + 1_000_000 * (AXIOMS.index(axiom) + 1)
-    for block in metrics._trial_blocks(_AXIOM_CASES[axiom](cell_seed, trials)):
+    for block in trial_blocks(_AXIOM_CASES[axiom](cell_seed, trials)):
         open_ = [k for k, (witness, _) in enumerate(found) if witness is None]
-        gains = iter(_deltas([pair for _, (_, pairs) in block for pair in pairs],
-                             [kinds[k] for k in open_]))
+        values = iter(gains([pair for _, (_, pairs) in block for pair in pairs],
+                            [kinds[k] for k in open_]))
         for case_seed, (witness, pairs) in block:
-            case_gains = [next(gains) for _ in pairs]
+            case_gains = [next(values) for _ in pairs]
             for j, k in enumerate(open_):
                 if found[k][0] is None:
                     verdict = witness(kinds[k], *(pair_gains[j] for pair_gains in case_gains))
@@ -281,7 +283,7 @@ def run_axiom_cell(kind_token: str, axiom: str, trials: int, seed: int) -> dict:
                          f"audited kinds are {', '.join(NOMINAL_PATTERN)}")
     if axiom not in AXIOMS:
         raise OutOfRange(f"unknown axiom {axiom!r}; axioms are {', '.join(AXIOMS)}")
-    metrics._require_trials(seed, trials=trials)
+    require_trials(seed, trials=trials)
     return _cell_row(kind_token, axiom, *_first_witnesses(axiom, [kind_token], trials, seed)[0])
 
 
@@ -304,10 +306,10 @@ def run_property_table(trials: int, seed: int) -> list[dict]:
     """Audit the distance-property pattern for each tabulated column; each
     probe is drawn once and evaluated for every column.  A trial count
     below 1 or a negative seed raises OutOfRange."""
-    metrics._require_trials(seed, trials=trials)
+    require_trials(seed, trials=trials)
     kinds = [metrics.parse_kind(token).with_power(power) for token, power in PROPERTY_COLUMNS]
     rows = []
-    for kind, reports in zip(kinds, metrics._property_reports(kinds, trials, seed)):
+    for kind, reports in zip(kinds, property_reports(kinds, trials, seed)):
         expected = expected_distance_properties(kind)
         for report in reports:
             rows.append(
@@ -331,7 +333,7 @@ def run_audit(trials: int, seed: int, property_trials: int | None = None) -> dic
     """
     if property_trials is None:
         property_trials = trials
-    metrics._require_trials(seed, trials=trials, property_trials=property_trials)
+    require_trials(seed, trials=trials, property_trials=property_trials)
     cells = {
         (token, axiom): _cell_row(token, axiom, *found)
         for axiom in AXIOMS

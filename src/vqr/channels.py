@@ -11,7 +11,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, OutOfRange
-from .states import DensityMatrix, Observable, _frozen
+from .states import DensityMatrix, Observable
 
 REALITY_TOL = 1e-9
 UNITARY_TOL = 1e-9
@@ -40,7 +40,7 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise OutOfRange("matrix to measure has a non-finite entry")
-    blocks = a._pinching_blocks
+    blocks = a.pinching_blocks
     if blocks is not None:
         out = np.zeros(m.size, dtype=complex)
         # + 0.0 turns a kept -0.0 into +0.0, as the dense sum does
@@ -52,7 +52,8 @@ def phi_map(m: np.ndarray, a: Observable) -> np.ndarray:
     return out
 
 
-def _require_same_space(rho: DensityMatrix, a: Observable):
+def require_same_space(rho: DensityMatrix, a: Observable):
+    """DimensionMismatch unless the observable's dims are the state's."""
     if tuple(a.dims) != tuple(rho.dims):
         raise DimensionMismatch(
             f"observable dims {a.dims} do not match state dims {rho.dims}"
@@ -65,7 +66,7 @@ def measure_nonselective(rho: DensityMatrix, a: Observable) -> DensityMatrix:
     Idempotent, unital, and the identity on states that already have
     reality for `a`.
     """
-    _require_same_space(rho, a)
+    require_same_space(rho, a)
     return DensityMatrix(phi_map(rho.matrix, a), rho.dims)
 
 
@@ -73,7 +74,7 @@ def monitor(rho: DensityMatrix, a: Observable, eps: float) -> DensityMatrix:
     """Monitoring map (1-eps) rho + eps Phi_A(rho)."""
     if not 0.0 <= eps <= 1.0:
         raise OutOfRange(f"monitoring strength must be in [0, 1], got {eps}")
-    _require_same_space(rho, a)
+    require_same_space(rho, a)
     mixed = (1.0 - eps) * rho.matrix + eps * phi_map(rho.matrix, a)
     return DensityMatrix(mixed, rho.dims)
 
@@ -83,7 +84,7 @@ def has_reality(rho: DensityMatrix, a: Observable, tol: float = REALITY_TOL) -> 
     within tol; a tol that is negative or not finite raises OutOfRange."""
     if not 0.0 <= tol < math.inf:
         raise OutOfRange(f"reality tolerance must be finite and >= 0, got {tol}")
-    _require_same_space(rho, a)
+    require_same_space(rho, a)
     return linalg.schatten_norm(rho.matrix - phi_map(rho.matrix, a), 1.0) <= tol
 
 
@@ -118,7 +119,7 @@ def build_dilation(rho: DensityMatrix, a: Observable) -> DilationSetup:
     invariance, max entrywise
     |U (Phi_A(rho) (x) 1/d_E) U^dag - Phi_A(rho) (x) 1/d_E|.
     """
-    _require_same_space(rho, a)
+    require_same_space(rho, a)
     d_e = a.outcomes
     shift = np.roll(np.eye(d_e, dtype=complex), 1, axis=0)
     d_s = rho.dim
@@ -127,7 +128,7 @@ def build_dilation(rho: DensityMatrix, a: Observable) -> DilationSetup:
     for p_full in a.full_projectors:
         u += np.kron(p_full, power)
         power = shift @ power
-    u = _frozen(u)
+    u.flags.writeable = False
 
     if np.abs(u.conj().T @ u - np.eye(d_s * d_e)).max() > UNITARY_TOL:
         raise DimensionMismatch("constructed dilation is not unitary")

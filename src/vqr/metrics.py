@@ -2,12 +2,11 @@
 
 Covers the Schatten L_p distances (trace and Hilbert-Schmidt as special
 cases), Uhlmann fidelity with the Bures and Hellinger distances, von
-Neumann entropy and relative entropy, Renyi and sandwiched Renyi
-divergences, and empirical checks of the distance properties (positive
-definiteness, unitary invariance, joint convexity, contractivity).
+Neumann entropy and relative entropy, and Renyi and sandwiched Renyi
+divergences.
 
 All entropic quantities use the natural logarithm (nats).  Every divergence
-comes from one spectral core, _divergences, on one pair or on two stacks.
+comes from one spectral core, divergences, on one pair or on two stacks.
 Infinite divergences (support violations) are returned as float('inf');
 an operand with an eigenvalue below -TAU_PSD raises DomainError.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,22 +22,14 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
-from .channels import phi_map
-from .states import DensityMatrix, haar_unitary, random_density, random_observables
+from .states import DensityMatrix
 
 # Eigenvalues at or below this are treated as the kernel in support checks.
 KERNEL_TOL = 1e-12
 # State mass on the other state's kernel above this flags a support violation.
 SUPPORT_TOL = 1e-10
-# The checks (audit searches, property table, verify groups) evaluate this
-# many trials per stacked call.  It bounds their memory: a whole check in
-# one stack raised the peak RSS of an audit-200 plus verify-100 pass from
-# 40.6 to 45.0 MB, and blocks of 32 keep it at 41.2 MB with most of the
-# speed-up (2.0 s a pass against 3.6 s unstacked and 1.6 s whole).
-TRIAL_BLOCK = 32
 
 _FAMILIES = ("tr", "hs", "lp", "bu", "he")
-_DEFAULT_POWER = {"tr": 1.0, "hs": 2.0, "bu": 2.0, "he": 2.0}
 
 
 @dataclass(frozen=True)
@@ -58,15 +48,18 @@ class DistanceKind:
             if self.p is None or not 1 <= self.p < math.inf:
                 raise InvalidOrder(f"lp distance needs a finite p >= 1, got {self.p}")
             object.__setattr__(self, "p", float(self.p))
-            if self.power is None:
-                object.__setattr__(self, "power", float(self.p))
-        else:
-            if self.p is not None:
-                raise InvalidOrder(f"family {self.family!r} does not take p")
-            if self.power is None:
-                object.__setattr__(self, "power", _DEFAULT_POWER[self.family])
+        elif self.p is not None:
+            raise InvalidOrder(f"family {self.family!r} does not take p")
+        if self.power is None:
+            object.__setattr__(self, "power", self.default_power)
         if not 0 < self.power < math.inf:
             raise InvalidOrder(f"power must be positive and finite, got {self.power}")
+
+    @property
+    def default_power(self) -> float:
+        """The power a kind takes when none is given, the one its closed-form
+        information gain holds at: 1 for tr, 2 for hs, bu and he, p for lp."""
+        return {"tr": 1.0, "hs": 2.0, "bu": 2.0, "he": 2.0}.get(self.family, self.p)
 
     @property
     def schatten_p(self) -> float | None:
@@ -211,7 +204,7 @@ def fidelity(rho, sigma) -> float:
     For pure states this reduces to |<psi|phi>|^2.  Sub-normalized inputs
     are accepted; for normalized states F is in [0, 1].
     """
-    return float(_Distances(*_pair(rho, sigma)).fidelity)
+    return float(Distances(*_pair(rho, sigma)).fidelity)
 
 
 def bures_distance_sq(rho, sigma) -> float:
@@ -237,18 +230,18 @@ def _exponent(kind: DistanceKind) -> float:
 
 def powered_distance(kind: DistanceKind, rho, sigma) -> float:
     """d_kind ** kind.power, computed without a lossy sqrt round-trip."""
-    return _powered_distances([kind], *_pair(rho, sigma))[0]
+    return powered_distances([kind], *_pair(rho, sigma))[0]
 
 
-def _powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
+def powered_distances(kinds, r: np.ndarray, s: np.ndarray) -> list:
     """powered_distance of each kind between the complex matrices r and s,
     or between the members of two (N, d, d) stacks: a float per kind for one
     pair, a list of N floats per kind for stacks."""
-    distances = _Distances(r, s)
+    distances = Distances(r, s)
     return [distances.powered(kind).tolist() for kind in kinds]
 
 
-class _Distances:
+class Distances:
     """The powered distances between the complex matrices r and s, or
     between the members of two (N, d, d) stacks, and their fidelity: the
     one place either is computed.  Each intermediate is computed on first
@@ -309,8 +302,8 @@ class _Distances:
         return linalg.scalar_power(self._native(kind), _exponent(kind))
 
 
-def _stacked(values, kinds, pairs) -> list[tuple]:
-    """values(kinds, r, s), _powered_distances or _divergences, of each
+def stacked(values, kinds, pairs) -> list[tuple]:
+    """values(kinds, r, s), powered_distances or divergences, of each
     (rho, sigma) pair, evaluated as one stack per matrix dimension: per
     pair, in input order, a tuple of one value per kind."""
     def evaluate(stack):
@@ -319,38 +312,12 @@ def _stacked(values, kinds, pairs) -> list[tuple]:
     return linalg.stackwise(evaluate, [np.array(pair, dtype=complex) for pair in pairs])
 
 
-def _require_trials(seed: int, **counts: int) -> None:
-    """The rule of every check's entry point: each trial count, named by its
-    keyword, by linalg.as_count, and the seed by linalg.as_seed."""
-    for name, count in counts.items():
-        linalg.as_count(count, name)
-    linalg.as_seed(seed)
-
-
-def _random_instances(seed, block, dims) -> list[tuple]:
-    """The (rho, A) of each trial i of a block at its dims: rho drawn at
-    seed + i with rank d - i % 2, and A on subsystem 0 at seed + i + 50021,
-    the block's observables in one call."""
-    observables = random_observables(
-        (d[0], seed + i + 50021, 0, d) for i, d in zip(block, dims))
-    return [(random_density(math.prod(d), math.prod(d) - (i % 2), seed + i, dims=d), a)
-            for i, d, a in zip(block, dims, observables)]
-
-
-def _trial_blocks(trials):
-    """The trials of a check, an iterable, in lists of TRIAL_BLOCK (the last
-    one shorter)."""
-    trials = iter(trials)
-    while block := list(itertools.islice(trials, TRIAL_BLOCK)):
-        yield block
-
-
 # --------------------------------------------------------------------------
 # Entropies and divergences
 # --------------------------------------------------------------------------
 
 
-def _entropies(m: np.ndarray) -> np.ndarray:
+def entropies(m: np.ndarray) -> np.ndarray:
     """The von Neumann entropy of each member of a stack (0-d for one
     matrix), from one stacked eigvalsh.  Each member's masked sum stays its
     own: a masked reduction over the stack would sum in another order."""
@@ -362,10 +329,10 @@ def _entropies(m: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    return float(_entropies(_mat(rho)))
+    return float(entropies(_mat(rho)))
 
 
-def _divergences(kinds, r: np.ndarray, s: np.ndarray) -> list:
+def divergences(kinds, r: np.ndarray, s: np.ndarray) -> list:
     """Each divergence kind between the complex matrices r and s, or
     between the members of two (N, d, d) stacks: a float per kind for one
     pair, a list of N floats per kind for stacks.
@@ -423,234 +390,15 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns float('inf') when rho has support on the kernel of sigma.
     """
-    return _divergences([VON_NEUMANN], *_pair(rho, sigma))[0]
+    return divergences([VON_NEUMANN], *_pair(rho, sigma))[0]
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
     """Petz-Renyi divergence ln[Tr(rho^a sigma^(1-a)) / Tr rho] / (a - 1)."""
-    return _divergences([renyi(alpha)], *_pair(rho, sigma))[0]
+    return divergences([renyi(alpha)], *_pair(rho, sigma))[0]
 
 
 def sandwiched_renyi_divergence(rho, sigma, alpha: float) -> float:
     """Sandwiched Renyi divergence
     ln[Tr((sigma^e rho sigma^e)^a) / Tr rho] / (a - 1) with e = (1-a)/(2a)."""
-    return _divergences([sandwiched_renyi(alpha)], *_pair(rho, sigma))[0]
-
-
-# --------------------------------------------------------------------------
-# Empirical property checks
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    kind: str
-    property: str
-    trials: int
-    violations: int
-    worst_case: float
-    example_seed: int | None
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "property": self.property,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_case": self.worst_case,
-            "example_seed": self.example_seed,
-        }
-
-
-def _random_pair(seed, d: int) -> tuple[np.ndarray, np.ndarray]:
-    rho = random_density(d, d, seed)
-    sig = random_density(d, max(1, d - 1), seed + 7919)
-    return rho.matrix, sig.matrix
-
-
-# Each property check is a draw and a finish.  draw(seed, block, shared)
-# gives, for each trial i of the block, the trial's (rho, sigma) pairs and
-# what else its finish needs; shared holds trial i's _random_pair, drawn
-# once for every check.  finish(n, values, extra) turns the values of those
-# pairs (one tuple per pair, of one value per _squares_and_trace column:
-# the n kinds checked, their squares, then the trace distance) into the
-# excess of every kind for each of the trial's probes.  A trial violates
-# the property for a kind when one of its excesses is above the check's
-# tolerance.
-
-
-def _squares_and_trace(kinds) -> list:
-    """The kinds, then their squares, then the trace distance."""
-    return [*kinds, *(k.with_power(2.0) for k in kinds), TRACE]
-
-
-def _positive_definiteness_draw(seed, block, shared):
-    for rho, sig in shared:
-        yield [(rho, sig), (rho, rho)], None
-
-
-def _positive_definiteness_finish(n, values, _):
-    # Bures/Hellinger are computed natively as squares; a lower power near
-    # zero would amplify O(eps) roundoff to O(sqrt(eps)), so the
-    # identity-of-indiscernibles check runs on the squared form.
-    pair_values, self_pair = values
-    apart = pair_values[-1] > 1e-6
-    bads = []
-    for value, self_value in zip(pair_values[:n], self_pair[n : 2 * n]):
-        bad = max(-value, self_value - 1e-10)
-        if apart and value <= 1e-12:
-            bad = max(bad, 1e-12 - value)
-        bads.append(bad)
-    return [bads]
-
-
-def _unitary_invariance_draw(seed, block, shared):
-    for i, (rho, sig) in zip(block, shared):
-        u = haar_unitary(len(rho), seed + i + 13)
-        yield [(rho, sig), (u @ rho @ u.conj().T, u @ sig @ u.conj().T)], None
-
-
-def _unitary_invariance_finish(n, values, _):
-    before, after = values
-    return [[abs(a - b) for a, b in zip(after[:n], before)]]
-
-
-def _joint_convexity_draw(seed, block, shared):
-    """One random joint-convexity probe and one structured probe mixing the
-    pairs (rho, rho) and (rho, sigma) with orthogonal pure states; the
-    structured case is where first-power Bures and Hellinger convexity
-    breaks."""
-    for i, (rho1, sig1) in zip(block, shared):
-        d = len(rho1)
-        rho2, sig2 = _random_pair(seed + i + 104729, d)
-        weight = float(np.random.default_rng(seed + i + 3).uniform(0.1, 0.9))
-        p0, p1 = (np.diag(np.eye(d, dtype=complex)[k]) for k in (0, 1))
-        probes = ((weight, (rho1, sig1), (rho2, sig2)), (0.5, (p0, p0), (p0, p1)))
-        pairs = []
-        for lam, (r1, s1), (r2, s2) in probes:
-            pairs += [(lam * r1 + (1 - lam) * r2, lam * s1 + (1 - lam) * s2), (r1, s1), (r2, s2)]
-        yield pairs, [lam for lam, _, _ in probes]
-
-
-def _joint_convexity_finish(n, values, lams):
-    excesses = []
-    for k, lam in enumerate(lams):
-        mixed, ones, twos = values[3 * k : 3 * k + 3]
-        excesses.append([m - (lam * a + (1 - lam) * b) for m, a, b in zip(mixed[:n], ones, twos)])
-    return excesses
-
-
-def _contractivity_draw(seed, block, shared):
-    """A random Stinespring channel (a Haar isometry with a dim-2
-    environment), a projective-measurement channel, and a bystander-discard
-    probe (where HS/L_p contractivity breaks); the block's observables are
-    drawn in one call."""
-    observables = random_observables(
-        (len(rho), seed + i + 101, 0, None) for i, (rho, _) in zip(block, shared))
-    for i, (rho, sig), obs in zip(block, shared, observables):
-        d = len(rho)
-        v = haar_unitary(2 * d, seed + i + 37)[:, :d]  # isometry C^d -> C^d (x) C^2
-        eye2 = np.eye(2) / 2
-        big = np.kron(rho, eye2), np.kron(sig, eye2)
-        maps = (
-            (lambda m: linalg.partial_trace(v @ m @ v.conj().T, (d, 2), 0), (rho, sig)),
-            (lambda m: phi_map(m, obs), (rho, sig)),
-            (lambda m: linalg.partial_trace(m, (d, 2), 0), big),
-        )
-        yield [(rho, sig)] + [(channel(r), channel(g)) for channel, (r, g) in maps] + [big], None
-
-
-def _contractivity_finish(n, values, _):
-    before, *afters, big_before = values
-    return [[a - b for a, b in zip(after[:n], ahead)]
-            for after, ahead in zip(afters, (before, before, big_before))]
-
-
-# Property -> (draw, finish, tolerance).  A report's example_seed is the
-# trial of the first violation, except for positive definiteness, where it
-# is the trial of the largest one.
-_PROPERTY_CHECKS = {
-    "positive_definiteness": (_positive_definiteness_draw, _positive_definiteness_finish, 0.0),
-    "unitary_invariance": (_unitary_invariance_draw, _unitary_invariance_finish, 1e-9),
-    "joint_convexity": (_joint_convexity_draw, _joint_convexity_finish, 1e-10),
-    "contractivity": (_contractivity_draw, _contractivity_finish, 1e-10),
-}
-
-
-def _property_reports(kinds, trials: int, seed: int) -> list[list[PropertyReport]]:
-    """check_distance_properties of every kind, a block of trials at a time:
-    each trial's (rho, sigma) is drawn once for all four properties, and
-    every distinct pair the block's probes hold is evaluated once, for
-    every kind, in one stacked call.  One list of reports per kind, in
-    _PROPERTY_CHECKS order; tallies follow the trials in order."""
-    n = len(kinds)
-    columns = _squares_and_trace(kinds)
-    # violations, worst, example of each kind for each property
-    tallies = {name: [[0, 0.0, None] for _ in kinds] for name in _PROPERTY_CHECKS}
-    for block in _trial_blocks(range(trials)):
-        shared = [_random_pair(seed + i, 2 + (i % 3)) for i in block]
-        draws = {name: list(draw(seed, block, shared))
-                 for name, (draw, _, _) in _PROPERTY_CHECKS.items()}
-        # pairs are the same when they hold the same two arrays
-        distinct = {(id(r), id(s)): (r, s)
-                    for trial_draws in draws.values()
-                    for pairs, _ in trial_draws for r, s in pairs}
-        values = dict(zip(distinct, _stacked(_powered_distances, columns, list(distinct.values()))))
-        for name, (_, finish, tol) in _PROPERTY_CHECKS.items():
-            for i, (pairs, extra) in zip(block, draws[name]):
-                hit = [False] * n
-                for excesses in finish(n, [values[id(r), id(s)] for r, s in pairs], extra):
-                    for k, (tally, excess) in enumerate(zip(tallies[name], excesses)):
-                        if excess > tol:
-                            hit[k] = True
-                            worst_so_far = name == "positive_definiteness" and excess > tally[1]
-                            if tally[2] is None or worst_so_far:
-                                tally[2] = seed + i
-                        tally[1] = max(tally[1], excess)
-                for tally, violated in zip(tallies[name], hit):
-                    tally[0] += violated
-    reports = [[] for _ in kinds]
-    for name, name_tallies in tallies.items():
-        for kind, kind_reports, (violations, worst, example) in zip(kinds, reports, name_tallies):
-            kind_reports.append(
-                PropertyReport(kind.label(), name, trials, violations, float(worst), example)
-            )
-    return reports
-
-
-def check_distance_properties(
-    kind: DistanceKind, trials: int, seed: int
-) -> list[PropertyReport]:
-    """Empirically test positive definiteness, unitary invariance, joint
-    convexity and contractivity of `kind` at its configured power, over
-    seeded random instances plus structured probes.  A trial count below 1
-    or a negative seed raises OutOfRange."""
-    _require_trials(seed, trials=trials)
-    return _property_reports([kind], trials, seed)[0]
-
-
-def expected_distance_properties(kind: DistanceKind) -> dict[str, bool]:
-    """The established property pattern for a distance family at a power.
-
-    Joint convexity holds for the Schatten distances at any power >= 1 but
-    only for the squares of Bures and Hellinger; contractivity holds for
-    trace, Bures and Hellinger (any power) and fails for Hilbert-Schmidt
-    and every other L_p order.
-    """
-    if kind.family in ("tr", "hs", "lp"):
-        return {
-            "positive_definiteness": True,
-            "unitary_invariance": True,
-            "joint_convexity": True,
-            "contractivity": kind.schatten_p == 1.0,
-        }
-    return {
-        "positive_definiteness": True,
-        "unitary_invariance": True,
-        "joint_convexity": kind.power >= 2.0,
-        "contractivity": True,
-    }
+    return divergences([sandwiched_renyi(alpha)], *_pair(rho, sigma))[0]

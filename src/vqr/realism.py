@@ -115,9 +115,9 @@ def _conditional_informations(omegas, split: int, kinds) -> list[list[float]]:
     references = np.stack(
         [np.kron(omega.reduced(range(split)).matrix, maximally_mixed) for omega in omegas])
     geometric = [kind for kind in kinds if not _entropic(kind)]
-    values = dict(zip(geometric, metrics._powered_distances(geometric, matrices, references)))
+    values = dict(zip(geometric, metrics.powered_distances(geometric, matrices, references)))
     if VON_NEUMANN in kinds:
-        values[VON_NEUMANN] = metrics._divergences([VON_NEUMANN], matrices, references)[0]
+        values[VON_NEUMANN] = metrics.divergences([VON_NEUMANN], matrices, references)[0]
     return [[values[kind][n] for kind in kinds] for n in range(len(omegas))]
 
 
@@ -174,12 +174,12 @@ class _Gains:
         self.rhos, self.phis, self.d_e, self.blocks = rhos, phis, d_e, blocks
 
     @cached_property
-    def _scaled(self) -> metrics._Distances:
-        return metrics._Distances(self.rhos, self.phis / self.d_e, self.blocks)
+    def _scaled(self) -> metrics.Distances:
+        return metrics.Distances(self.rhos, self.phis / self.d_e, self.blocks)
 
     @cached_property
-    def _direct(self) -> metrics._Distances:
-        return metrics._Distances(self.rhos, self.phis, self.blocks)
+    def _direct(self) -> metrics.Distances:
+        return metrics.Distances(self.rhos, self.phis, self.blocks)
 
     @cached_property
     def _singular(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,18 +188,17 @@ class _Gains:
 
     @cached_property
     def _entropy_gain(self) -> np.ndarray:
-        return metrics._entropies(self.phis) - metrics._entropies(self.rhos)
+        return metrics.entropies(self.phis) - metrics.entropies(self.rhos)
 
     def column(self, kind: Kind) -> np.ndarray:
         """The gain of a kind for each pair: N values.  A distance kind at other
         than its default power raises InvalidOrder: no closed form holds there."""
         if _entropic(kind):
             return self._entropy_gain
-        default = metrics._DEFAULT_POWER.get(kind.family, kind.p)
-        if kind.power != default:
+        if kind.power != kind.default_power:
             raise InvalidOrder(
                 f"no closed form for {kind.label()} (power {kind.power:g}): "
-                f"{kind.token()} takes only power {default:g}; "
+                f"{kind.token()} takes only power {kind.default_power:g}; "
                 "delta_conditional_information_dilated takes any power")
         d_e = self.d_e
         d = (self._scaled if kind.family in ("tr", "lp") else self._direct).powered(kind)
@@ -225,7 +224,7 @@ def _groups(pairs) -> tuple[tuple[list[int], _Gains], ...]:
     order of first appearance; each pair gets the bits it would get alone."""
     groups = {}
     for i, (rho, a) in enumerate(pairs):
-        blocks = a._pinching_blocks
+        blocks = a.pinching_blocks
         group = rho.dim, a.outcomes, None if blocks is None else blocks.key
         groups.setdefault(group, (blocks, []))[1].append(i)
     return tuple(
@@ -236,20 +235,21 @@ def _groups(pairs) -> tuple[tuple[list[int], _Gains], ...]:
         for (_, d_e, _), (blocks, members) in groups.items())
 
 
-# The _groups of the last _deltas call.  Its key compares the pairs by
+# The _groups of the last gains call.  Its key compares the pairs by
 # identity (eq=False), a safe key: the inputs hold read-only copies, and the
 # entry holds its key, so no identity is reused while the entry is kept.
 _last_groups = lru_cache(maxsize=1)(_groups)
 
 
-def _deltas(pairs, kinds) -> list[list[float]]:
+def gains(pairs, kinds) -> list[list[float]]:
     """delta_conditional_information of each kind for each (rho, A) pair, one
-    list per pair in input order, from _last_groups: a call on the same pairs reuses them."""
+    list per pair in input order, from _last_groups: a call on the same
+    pairs reuses their workspace."""
     for rho, a in pairs:
-        channels._require_same_space(rho, a)
+        channels.require_same_space(rho, a)
     deltas = [None] * len(pairs)
-    for members, gains in _last_groups(tuple(pairs)):
-        columns = [gains.column(kind).tolist() for kind in kinds]
+    for members, workspace in _last_groups(tuple(pairs)):
+        columns = [workspace.column(kind).tolist() for kind in kinds]
         for j, i in enumerate(members):
             deltas[i] = [column[j] for column in columns]
     return deltas
@@ -274,10 +274,10 @@ def delta_conditional_information(
     it.  The inputs must stay unmodified for that, which their read-only
     arrays ensure.
     """
-    return _deltas([(rho, a)], [kind])[0][0]
+    return gains([(rho, a)], [kind])[0][0]
 
 
-def _dilated_deltas(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
+def dilated_gains(rho: DensityMatrix, a: Observable, kinds) -> list[float]:
     """delta_conditional_information_dilated of each kind, from one dilation
     whose Omega_0 and Omega_t are evaluated as one 2-stack."""
     omegas = channels.evolve(channels.build_dilation(rho, a))
@@ -294,7 +294,7 @@ def delta_conditional_information_dilated(
     Agrees with the closed form within numerical tolerance; exists as the
     independent route for verification.
     """
-    return _dilated_deltas(rho, a, [kind])[0]
+    return dilated_gains(rho, a, [kind])[0]
 
 
 # R_max of each (kind, d_E) evaluated so far, cleared when it is full.
@@ -302,7 +302,7 @@ def delta_conditional_information_dilated(
 _rmax_table = {}
 
 
-def _realism_maxes(kinds, d_e: int) -> list[float]:
+def r_max(kinds, d_e: int) -> list[float]:
     """realism_max of each kind at d_E.  The kinds missing from the table
     are evaluated together on one maximally entangled pair measured in the
     computational basis, whose intermediates are dropped on return; ln d_E
@@ -314,8 +314,9 @@ def _realism_maxes(kinds, d_e: int) -> list[float]:
     missing = [kind for kind, value in values.items() if value is None]
     geometric = [kind for kind in missing if not _entropic(kind)]
     if geometric:
-        [(_, gains)] = _groups([(max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e)))])
-        values.update((kind, gains.column(kind).tolist()[0]) for kind in geometric)
+        [(_, workspace)] = _groups(
+            [(max_entangled(d_e), computational_observable(d_e, 0, (d_e, d_e)))])
+        values.update((kind, workspace.column(kind).tolist()[0]) for kind in geometric)
     values.update((kind, float(np.log(d_e))) for kind in missing if kind not in geometric)
     if len(_rmax_table) + len(missing) > 256:
         _rmax_table.clear()
@@ -331,26 +332,26 @@ def realism_max(kind: Kind, d_e: int) -> float:
     inputs still raise on every call.  The state route stays because closed
     forms round differently (1e-16 for an exact 0) and would change the
     sweep tables."""
-    return _realism_maxes([kind], d_e)[0]
+    return r_max([kind], d_e)[0]
 
 
-def _reports(pairs, kinds) -> list[list[RealismReport]]:
-    """realism of each kind for each (rho, A) pair, from one _deltas pass
+def reports(pairs, kinds) -> list[list[RealismReport]]:
+    """realism of each kind for each (rho, A) pair, from one gains pass
     over all the pairs and one R_max lookup per outcome count: one list per
     pair, in input order."""
-    r_maxes = {d_e: _realism_maxes(kinds, d_e) for d_e in {a.outcomes for _, a in pairs}}
+    r_maxes = {d_e: r_max(kinds, d_e) for d_e in {a.outcomes for _, a in pairs}}
     return [
         [
             RealismReport(
                 kind=kind,
-                r_value=r_max - delta,
-                r_max=r_max,
+                r_value=maximum - delta,
+                r_max=maximum,
                 delta_i=delta,
                 vqr_detected=bool(delta > TOL_VQR),
             )
-            for kind, r_max, delta in zip(kinds, r_maxes[a.outcomes], deltas)
+            for kind, maximum, delta in zip(kinds, r_maxes[a.outcomes], deltas)
         ]
-        for (_, a), deltas in zip(pairs, _deltas(pairs, kinds))
+        for (_, a), deltas in zip(pairs, gains(pairs, kinds))
     ]
 
 
@@ -362,4 +363,4 @@ def realism(rho: DensityMatrix, a: Observable, kind: Kind) -> RealismReport:
     one (rho, a) share their intermediates, as delta_conditional_information
     describes.
     """
-    return _reports([(rho, a)], [kind])[0][0]
+    return reports([(rho, a)], [kind])[0][0]

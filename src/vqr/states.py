@@ -177,7 +177,7 @@ class Observable:
         return tuple(full)
 
     @cached_property
-    def _pinching_blocks(self) -> PinchingBlocks | None:
+    def pinching_blocks(self) -> PinchingBlocks | None:
         """The blocks that sum_a P_a m P_a keeps of m, or None.
 
         Defined only when every projector is an exact 0/1 diagonal and
@@ -322,7 +322,7 @@ def computational_observable(
     d: int, subsystem: int = 0, dims: Sequence[int] | None = None
 ) -> Observable:
     """The d rank-1 projectors |a><a| with eigenvalues 0..d-1."""
-    d = linalg.as_index(d, "observable dimension")
+    d = linalg.as_count(d, "observable dimension")
     dims = (d,) if dims is None else tuple(dims)
     projs = tuple(np.diag(np.eye(d)[a]).astype(complex) for a in range(d))
     return Observable(projs, tuple(float(a) for a in range(d)), subsystem, dims)

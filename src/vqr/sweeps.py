@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericalFailure, OutOfRange
 from .linalg import as_index
 from .metrics import parse_kind
-from .realism import _realism_maxes, _reports
+from .realism import r_max, reports
 from .states import computational_observable, mu_state, spin_observable, werner
 
 DEFAULT_SEED = 20240
@@ -31,6 +31,12 @@ MU_KINDS = ("bu", "he")
 MU_PHIS = (0.0, np.pi / 4, np.pi / 2)
 THETA_INVARIANCE_POINTS = 8
 THETA_INVARIANCE_TOL = 1e-9
+# Each grid count and its message when it is below 2.
+_GRID_COUNTS = {
+    "eps_steps": "need at least 2 grid points, got {}",
+    "mu_steps": "need at least 2 grid points, got {}",
+    "d_max": "d_max must be >= 2, got {}",
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,9 @@ class SweepSpec:
     """Parameters of one harness run; its hash stamps every output row.
 
     Construction fills the grid entries and the kinds left out with the
-    experiment's defaults (EXPERIMENTS), so the hash stamps what runs.  No
+    experiment's defaults (EXPERIMENTS) and resolves the grid: each count
+    (eps_steps, mu_steps, d_max) an integer of at least 2, by as_index, and
+    phis a non-empty tuple of floats, so the hash stamps only what runs.  No
     sweep draws random numbers, so `seed` changes nothing but that hash: it
     records the seed the run was given (--seed or VQR_SEED) next to the
     grid and kinds that produced the table.
@@ -62,11 +70,18 @@ class SweepSpec:
         if self.format not in ("csv", "json"):
             raise OutOfRange(f"unknown format {self.format!r}; formats are csv, json")
         grid = {**experiment.defaults, **self.grid}
+        for key, message in _GRID_COUNTS.items():
+            if key in grid:
+                grid[key] = as_index(grid[key], key)
+                if grid[key] < 2:
+                    raise OutOfRange(message.format(grid[key]))
         if "phis" in grid:  # the mu angles, as floats: a list and a tuple hash alike
             phis = grid["phis"]
             phis = None if isinstance(phis, str) or not np.iterable(phis) else tuple(phis)
             if phis is None or not all(isinstance(phi, numbers.Real) for phi in phis):
                 raise OutOfRange(f"phis must be a collection of numbers, got {grid['phis']!r}")
+            if not phis:
+                raise OutOfRange("need at least one azimuthal angle")
             grid["phis"] = tuple(map(float, phis))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kinds", tuple(self.kinds) or experiment.kinds)
@@ -119,16 +134,14 @@ MU_FIELDS = ["spec_hash", "mu", "phi", "kind", "r_value"]
 def run_werner_sweep(spec: SweepSpec) -> list[dict]:
     """Realism of a computational-basis qubit observable on the Werner
     family, for every requested kind over the epsilon grid."""
-    steps = as_index(spec.grid["eps_steps"], "eps_steps")
-    if steps < 2:
-        raise OutOfRange(f"need at least 2 grid points, got {steps}")
     kinds = [parse_kind(t) for t in spec.kinds]
     obs = computational_observable(2, 0, (2, 2))
     stamp = spec.spec_hash()
-    grid = np.linspace(0.0, 1.0, steps)
+    grid = np.linspace(0.0, 1.0, spec.grid["eps_steps"])
     rows = []
-    for eps, reports in zip(grid, _reports([(werner(float(eps)), obs) for eps in grid], kinds)):
-        for report in reports:
+    pairs = [(werner(float(eps)), obs) for eps in grid]
+    for eps, point_reports in zip(grid, reports(pairs, kinds)):
+        for report in point_reports:
             rows.append(
                 {
                     "spec_hash": stamp,
@@ -144,15 +157,12 @@ def run_werner_sweep(spec: SweepSpec) -> list[dict]:
 
 def run_rmax_sweep(spec: SweepSpec) -> list[dict]:
     """Maximum realism value per kind as a function of the outcome count."""
-    d_max = as_index(spec.grid["d_max"], "d_max")
-    if d_max < 2:
-        raise OutOfRange(f"d_max must be >= 2, got {d_max}")
     kinds = [parse_kind(t) for t in spec.kinds]
     stamp = spec.spec_hash()
     rows = []
-    for d_e in range(2, d_max + 1):
-        for kind, r_max in zip(kinds, _realism_maxes(kinds, d_e)):
-            rows.append({"spec_hash": stamp, "d_e": d_e, "kind": kind.token(), "r_max": r_max})
+    for d_e in range(2, spec.grid["d_max"] + 1):
+        for kind, value in zip(kinds, r_max(kinds, d_e)):
+            rows.append({"spec_hash": stamp, "d_e": d_e, "kind": kind.token(), "r_max": value})
     return rows
 
 
@@ -179,28 +189,23 @@ def _theta_invariance_check(mu: float, phi: float, reports) -> None:
 def run_mu_sweep(spec: SweepSpec) -> list[dict]:
     """Bures/Hellinger realism on the mu family for each azimuthal angle,
     at polar angle zero, with a polar-invariance spot check."""
-    steps = as_index(spec.grid["mu_steps"], "mu_steps")
-    if steps < 2:
-        raise OutOfRange(f"need at least 2 grid points, got {steps}")
     phis = spec.grid["phis"]
-    if not phis:
-        raise OutOfRange("need at least one azimuthal angle")
     kinds = [parse_kind(t) for t in spec.kinds]
     stamp = spec.spec_hash()
     observables = [(phi, spin_observable(0.0, phi, subsystem=0, dims=(2, 2))) for phi in phis]
     # every grid point, then every polar-invariance point, as one list of pairs
     points = []
     pairs = []
-    for mu in np.linspace(0.0, 1.0, steps):
+    for mu in np.linspace(0.0, 1.0, spec.grid["mu_steps"]):
         rho = mu_state(float(mu))
         for phi, obs in observables:
             points.append((float(mu), float(phi)))
             pairs.append((rho, obs))
     for phi in phis:
         pairs += _theta_invariance_pairs(0.8, phi)
-    reports = _reports(pairs, kinds)
+    pair_reports = reports(pairs, kinds)
     rows = []
-    for (mu, phi), point_reports in zip(points, reports):
+    for (mu, phi), point_reports in zip(points, pair_reports):
         for report in point_reports:
             rows.append(
                 {
@@ -211,7 +216,7 @@ def run_mu_sweep(spec: SweepSpec) -> list[dict]:
                     "r_value": report.r_value,
                 }
             )
-    checks = reports[len(points):]
+    checks = pair_reports[len(points):]
     for n, phi in enumerate(phis):
         block = checks[n * THETA_INVARIANCE_POINTS : (n + 1) * THETA_INVARIANCE_POINTS]
         _theta_invariance_check(0.8, phi, block)

@@ -17,19 +17,11 @@ import numpy as np
 
 from . import linalg, metrics
 from .channels import build_dilation, phi_map
-from .realism import _deltas, _dilated_deltas
+from .realism import dilated_gains, gains
 from .states import random_density
+from .trials import random_instances, require_trials, trial_blocks
 
-DEFAULT_TOL = 1e-9
 LIMIT_TOL = 1e-3
-
-# Identities checked against a tolerance other than DEFAULT_TOL.
-_TOLERANCES = {
-    "renyi_limit_to_relative_entropy": LIMIT_TOL,
-    "sandwiched_limit_to_relative_entropy": LIMIT_TOL,
-    "dilation_reduction": 1e-10,
-    "dilation_invariance": 1e-10,
-}
 
 _PINCHING_FUNCTIONS = {
     "identity": lambda w: w,
@@ -39,10 +31,10 @@ _PINCHING_FUNCTIONS = {
 }
 
 
-def _instances(seed, block, max_d_a=3):
-    """Trial i's (rho, A) at dims (2 + i % (max_d_a - 1), 2 + i % 2)."""
-    return metrics._random_instances(
-        seed, block, [(2 + (i % (max_d_a - 1)), 2 + (i % 2)) for i in block])
+# The dims cycles of the trials (random_instances): the pinching group's,
+# and the closed-form and dilation groups'.
+_SQUARE_DIMS = ((2, 2), (3, 3))
+_MIXED_DIMS = ((2, 2), (3, 3), (4, 2), (2, 3), (3, 2), (4, 3))
 
 
 def _pinching_group(seed, block):
@@ -51,7 +43,7 @@ def _pinching_group(seed, block):
     ||rho||_2^2 - ||Phi(rho)||_2^2 = ||rho - Phi(rho)||_2^2; f(Phi(sigma))
     and the norms of the block are evaluated as one stack per dimension."""
     rhos, phis, phi_sigmas = [], [], []
-    for i, (rho, a) in zip(block, _instances(seed, block)):
+    for i, (rho, a) in zip(block, random_instances(seed, block, _SQUARE_DIMS)):
         sigma = random_density(rho.dim, rho.dim, seed + i + 777, dims=rho.dims)
         rhos.append(rho.matrix)
         phis.append(phi_map(rho.matrix, a))
@@ -75,15 +67,15 @@ def _pinching_group(seed, block):
 
 def _closed_form_group(seed, block):
     """Closed-form against full-dilation information gain for each kind:
-    one _deltas pass for the closed forms of the block, and per instance
+    one gains pass for the closed forms of the block, and per instance
     one dilation, whose Omega_0 and Omega_t are evaluated as one 2-stack.
     The block's dilations are not stacked: its 48 x 48 Omegas in one stack
     saved about 0.1 s of an audit-200 plus verify-100 pass but raised its
     peak RSS from 41.2 to 44.6 MB."""
-    instances = _instances(seed, block, max_d_a=4)
+    instances = random_instances(seed, block, _MIXED_DIMS)
     kinds = [metrics.parse_kind(token) for token in ("tr", "hs", "bu", "he", "lp1.5", "lp3")]
-    for (rho, a), closed_forms in zip(instances, _deltas(instances, kinds)):
-        for kind, closed, full in zip(kinds, closed_forms, _dilated_deltas(rho, a, kinds)):
+    for (rho, a), closed_forms in zip(instances, gains(instances, kinds)):
+        for kind, closed, full in zip(kinds, closed_forms, dilated_gains(rho, a, kinds)):
             yield f"information_gain_closed_form_{kind.token()}", abs(closed - full)
 
 
@@ -103,10 +95,10 @@ def _renyi_group(seed, block):
     """d_Bu^2 = 2 - 2 exp(-D~_1/2 / 2) and d_He^2 = 2 - 2 exp(-D_1/2 / 2),
     from one stacked pass of distances and one of divergences."""
     pairs = _divergence_pairs(seed, block, deficient=True)
-    distances = metrics._stacked(
-        metrics._powered_distances, [metrics.BURES, metrics.HELLINGER], pairs)
-    divergences = metrics._stacked(
-        metrics._divergences, [metrics.sandwiched_renyi(0.5), metrics.renyi(0.5)], pairs)
+    distances = metrics.stacked(
+        metrics.powered_distances, [metrics.BURES, metrics.HELLINGER], pairs)
+    divergences = metrics.stacked(
+        metrics.divergences, [metrics.sandwiched_renyi(0.5), metrics.renyi(0.5)], pairs)
     for squares, halves in zip(distances, divergences):
         for name, distance_sq, div in zip(
             ("bures_from_sandwiched_renyi_half", "hellinger_from_renyi_half"), squares, halves
@@ -120,8 +112,8 @@ def _limit_group(seed, block):
     pairs = _divergence_pairs(seed, block, deficient=False)
     orders = [make(alpha) for make in (metrics.renyi, metrics.sandwiched_renyi)
               for alpha in (1.0 - 1e-4, 1.0 + 1e-4)]
-    for reference, *values in metrics._stacked(
-            metrics._divergences, [metrics.VON_NEUMANN, *orders], pairs):
+    for reference, *values in metrics.stacked(
+            metrics.divergences, [metrics.VON_NEUMANN, *orders], pairs):
         for kind, value in zip(orders, values):
             name = "renyi" if kind.family == "renyi" else "sandwiched"
             yield f"{name}_limit_to_relative_entropy", abs(value - reference)
@@ -131,22 +123,45 @@ def _dilation_group(seed, block):
     """The dilation's reduction and invariance contracts, read from each
     instance's dilation, which checks them when it is built; the block's
     instances are drawn at once."""
-    for rho, a in _instances(seed, block, max_d_a=4):
+    for rho, a in random_instances(seed, block, _MIXED_DIMS):
         reduction, invariance = build_dilation(rho, a).residuals
         yield "dilation_reduction", reduction
         yield "dilation_invariance", invariance
 
 
-# Each group takes a block of trials, draws trial i's instances once at
-# seed + i (the group's own offset from the run's seed is in the seed it
-# gets) and yields (identity, residual) for every identity it checks,
-# trial by trial.
+# The catalogue: each row is (seed offset, group, {identity: tolerance}).
+# A group takes a block of trials, draws trial i's instances once at
+# seed + i (its offset from the run's seed is in the seed it gets) and
+# yields (identity, residual) for every identity it checks, trial by trial;
+# each identity it yields is one it declares here, with its tolerance.
 _GROUPS = (
-    (0, _pinching_group),
-    (1000, _closed_form_group),
-    (2000, _renyi_group),
-    (3000, _limit_group),
-    (4000, _dilation_group),
+    (0, _pinching_group, {
+        "pinching_trace_identity_identity": 1e-9,
+        "pinching_trace_identity_square": 1e-9,
+        "pinching_trace_identity_sqrt": 1e-9,
+        "pinching_trace_identity_exp": 1e-9,
+        "hs_purity_loss_identity": 1e-9,
+    }),
+    (1000, _closed_form_group, {
+        "information_gain_closed_form_tr": 1e-9,
+        "information_gain_closed_form_hs": 1e-9,
+        "information_gain_closed_form_bu": 1e-9,
+        "information_gain_closed_form_he": 1e-9,
+        "information_gain_closed_form_lp1.5": 1e-9,
+        "information_gain_closed_form_lp3": 1e-9,
+    }),
+    (2000, _renyi_group, {
+        "bures_from_sandwiched_renyi_half": 1e-9,
+        "hellinger_from_renyi_half": 1e-9,
+    }),
+    (3000, _limit_group, {
+        "renyi_limit_to_relative_entropy": LIMIT_TOL,
+        "sandwiched_limit_to_relative_entropy": LIMIT_TOL,
+    }),
+    (4000, _dilation_group, {
+        "dilation_reduction": 1e-10,
+        "dilation_invariance": 1e-10,
+    }),
 )
 
 
@@ -154,20 +169,22 @@ def _max_residuals(group, trials, seed) -> dict[str, float]:
     """The worst residual of each of the group's identities over the
     trials, taken TRIAL_BLOCK trials at a time."""
     worst = {}
-    for block in metrics._trial_blocks(range(trials)):
+    for block in trial_blocks(range(trials)):
         for identity, residual in group(seed, block):
             worst[identity] = max(worst.get(identity, 0.0), residual)
     return worst
 
 
 def run_verify(trials: int, seed: int) -> dict:
-    """Run the whole identity suite; one row per identity.  A trial count
-    below 1 or a negative seed raises OutOfRange."""
-    metrics._require_trials(seed, trials=trials)
+    """Run the whole identity suite; one row per identity, with the
+    tolerance its group declares in _GROUPS.  A trial count below 1 or a
+    negative seed raises OutOfRange; an identity its group does not declare
+    raises KeyError, naming it."""
+    require_trials(seed, trials=trials)
     rows = []
-    for offset, group in _GROUPS:
+    for offset, group, tolerances in _GROUPS:
         for identity, residual in _max_residuals(group, trials, seed + offset).items():
-            tolerance = _TOLERANCES.get(identity, DEFAULT_TOL)
+            tolerance = tolerances[identity]
             rows.append({"identity": identity, "trials": trials, "max_residual": float(residual),
                          "tolerance": tolerance, "pass": bool(residual < tolerance)})
     return {"seed": seed, "trials": trials, "identities": rows, "pass": all(r["pass"] for r in rows)}

@@ -16,9 +16,7 @@ from vqr.metrics import (
     TRACE,
     VON_NEUMANN,
     bures_distance_sq,
-    check_distance_properties,
     distance,
-    expected_distance_properties,
     hellinger_distance_sq,
     lp,
     relative_entropy,
@@ -40,6 +38,7 @@ from vqr.states import (
     spin_observable,
     werner,
 )
+from vqr.trials import check_distance_properties, expected_distance_properties
 from vqr.verify import _max_residuals, _pinching_group
 
 SEED = 20240

@@ -19,7 +19,7 @@ from vqr.metrics import (
     parse_kind,
     powered_distance,
 )
-from vqr.realism import _deltas, _dilated_deltas
+from vqr.realism import dilated_gains, gains
 from vqr.states import (
     DensityMatrix,
     Observable,
@@ -105,7 +105,7 @@ class TestPinchingMask:
         ids=["comp0", "comp1", "comp2", "block", "spin", "spin_neg_cos"],
     )
     def test_matches_dense_sum_bit_for_bit(self, obs):
-        assert obs._pinching_blocks is not None
+        assert obs.pinching_blocks is not None
         rng = np.random.default_rng(8)
         n = int(np.prod(obs.dims))
         for _ in range(5):
@@ -135,17 +135,17 @@ class TestPinchingMask:
     def test_no_mask_for_general_projectors(self, obs):
         # unvalidated projectors that do not partition the indices take the
         # dense sum, which the blocks would not give
-        assert obs._pinching_blocks is None
+        assert obs.pinching_blocks is None
         n = int(np.prod(obs.dims))
         m = np.full((n, n), 1.0 / n, dtype=complex)
         assert np.array_equal(phi_map(m, obs), sum(p @ m @ p for p in obs.full_projectors))
 
     def test_blocks_hold_the_ambient_indices_by_size(self):
-        blocks = BLOCK_ON_SECOND._pinching_blocks
+        blocks = BLOCK_ON_SECOND.pinching_blocks
         assert [b.tolist() for b in blocks.by_size] == [[[0, 3]], [[1, 2, 4, 5]]]
-        same = spin_observable(0.7, 0.0, 0, (2, 2))._pinching_blocks
-        assert same.key == computational_observable(2, 0, (2, 2))._pinching_blocks.key
-        assert same.key != computational_observable(2, 1, (2, 2))._pinching_blocks.key
+        same = spin_observable(0.7, 0.0, 0, (2, 2)).pinching_blocks
+        assert same.key == computational_observable(2, 0, (2, 2)).pinching_blocks.key
+        assert same.key != computational_observable(2, 1, (2, 2)).pinching_blocks.key
 
     def test_wrong_size_still_rejected(self):
         with pytest.raises(
@@ -314,8 +314,8 @@ class TestDilation:
             setup = build_dilation(rho, obs)
             assert setup.environment_dim == 3
             assert max(setup.residuals) < 1e-12
-            closed = _deltas([(rho, obs)], kinds)[0]
-            for kind, c, full in zip(kinds, closed, _dilated_deltas(rho, obs, kinds)):
+            closed = gains([(rho, obs)], kinds)[0]
+            for kind, c, full in zip(kinds, closed, dilated_gains(rho, obs, kinds)):
                 assert abs(c - full) < 1e-12, kind.token()
 
     def test_block_projectors_still_supported_by_phi(self):

@@ -17,7 +17,7 @@ correct.
 At 20 trials `hs` and `lp3` find their axiom2b witness at trial 0 while
 `tr`, `bu` and `he` search every trial, so audit.json pins each kind's own
 first witness within a search that tests all kinds together.  The runs at
-the defaults cross the boundaries of the blocks of `vqr.metrics.TRIAL_BLOCK`
+the defaults cross the boundaries of the blocks of `vqr.trials.TRIAL_BLOCK`
 trials in which the checks stack their work.
 """
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vqr import audit
+from vqr import audit, verify
 from vqr.audit import (
     AXIOMS,
     AUDIT_KINDS,
@@ -17,7 +17,7 @@ from vqr.audit import (
 )
 from vqr.cli import main
 from vqr.errors import DimensionMismatch, InvalidAlpha, InvalidOrder, OutOfRange
-from vqr.metrics import TRIAL_BLOCK, check_distance_properties
+from vqr.trials import TRIAL_BLOCK, check_distance_properties
 from vqr.states import computational_observable, max_entangled, random_density, werner
 from vqr.sweeps import (
     MU_KINDS,
@@ -123,7 +123,12 @@ class TestWernerSweep:
         (("mu", {"phis": "0,1"}), "phis must be a collection of numbers, got '0,1'"),
         (("mu", {"phis": [None]}), r"phis must be a collection of numbers, got \[None\]"),
         (("mu", {"phis": 0.5}), "phis must be a collection of numbers, got 0.5"),
-    ], ids=["grid_key", "other_experiments_key", "format", "phis_text", "phis_none", "phis_scalar"])
+        (("werner", {"eps_steps": 1}), "need at least 2 grid points, got 1"),
+        (("rmax", {"d_max": 1}), "d_max must be >= 2, got 1"),
+        (("mu", {"mu_steps": 1}), "need at least 2 grid points, got 1"),
+        (("mu", {"phis": []}), "need at least one azimuthal angle"),
+    ], ids=["grid_key", "other_experiments_key", "format", "phis_text", "phis_none", "phis_scalar",
+            "eps_steps_one", "d_max_one", "mu_steps_one", "phis_empty"])
     def test_a_spec_nothing_reads_raises(self, spec, match):
         with pytest.raises(OutOfRange, match=match):
             SweepSpec(*spec)
@@ -390,6 +395,25 @@ class TestVerify:
         assert {n for n in names if n.startswith("information_gain_closed_form")} == {
             f"information_gain_closed_form_{k}" for k in ("tr", "hs", "bu", "he", "lp1.5", "lp3")
         }
+
+    def test_every_identity_is_declared_with_its_tolerance(self):
+        result = run_verify(trials=2, seed=SEED)
+        declared = {name: tol for _, _, tolerances in verify._GROUPS
+                    for name, tol in tolerances.items()}
+        assert len(declared) == 17
+        assert {r["identity"]: r["tolerance"] for r in result["identities"]} == declared
+
+    def test_an_undeclared_identity_raises_naming_it(self, monkeypatch):
+        # a group that misspells one of its identities gets no tolerance
+        offset, group, tolerances = verify._GROUPS[0]
+
+        def misspelt(seed, block):
+            for identity, residual in group(seed, block):
+                yield identity.replace("purity_loss", "purity_los"), residual
+
+        monkeypatch.setattr(verify, "_GROUPS", ((offset, misspelt, tolerances),))
+        with pytest.raises(KeyError, match="hs_purity_los_identity"):
+            run_verify(trials=1, seed=SEED)
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqr import linalg, metrics
+from vqr import linalg, metrics, trials
 from vqr.channels import phi_map
 from vqr.errors import DimensionMismatch, DomainError, InvalidAlpha, InvalidOrder, OutOfRange
 from vqr.metrics import (
@@ -11,9 +11,7 @@ from vqr.metrics import (
     TRACE,
     DistanceKind,
     bures_distance_sq,
-    check_distance_properties,
     distance,
-    expected_distance_properties,
     fidelity,
     hellinger_distance_sq,
     lp,
@@ -35,6 +33,7 @@ from vqr.states import (
     spin_observable,
     werner,
 )
+from vqr.trials import check_distance_properties, expected_distance_properties
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ONE = np.diag([0.0, 1.0]).astype(complex)
@@ -333,7 +332,7 @@ class TestRenyi:
 
 
 class TestDivergenceCore:
-    """Every divergence comes from metrics._divergences: one clipped
+    """Every divergence comes from metrics.divergences: one clipped
     eigendecomposition of each operand, and their amplitudes."""
 
     KINDS = [metrics.VON_NEUMANN] + [
@@ -354,14 +353,14 @@ class TestDivergenceCore:
         # _random_pair's sigma has rank d - 1, so vn and alpha > 1 are
         # infinite; the full-rank pairs give finite values of every kind.
         for d in (2, 3, 4, 6):
-            pairs = [metrics._random_pair(900 + 10 * d + k, d) for k in range(3)]
+            pairs = [trials._random_pair(900 + 10 * d + k, d) for k in range(3)]
             pairs += [
                 (random_density(d, d, 950 + 10 * d + k).matrix,
                  random_density(d, d, 980 + 10 * d + k).matrix)
                 for k in range(3)
             ]
             pairs.append((pairs[0][0], pairs[0][0]))
-            stacked = metrics._stacked(metrics._divergences, self.KINDS, pairs)
+            stacked = metrics.stacked(metrics.divergences, self.KINDS, pairs)
             assert stacked == [
                 tuple(self.one_pair(kind, r, s) for kind in self.KINDS) for r, s in pairs
             ]
@@ -472,7 +471,7 @@ class TestPropertyChecks:
             calls.append(args)
             return random_density(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "random_density", counted)
+        monkeypatch.setattr("vqr.trials.random_density", counted)
         run_property_table(trials, 7)
         assert len(calls) == 4 * trials
 
@@ -499,28 +498,28 @@ class TestStackedEvaluation:
         kinds = [metrics.parse_kind(t).with_power(power) for t, power in PROPERTY_COLUMNS]
         kinds.append(metrics.lp(1.5))
         for d in (2, 3, 4, 6):
-            pairs = [metrics._random_pair(700 + 10 * d + k, d) for k in range(4)]
+            pairs = [trials._random_pair(700 + 10 * d + k, d) for k in range(4)]
             pairs.append((pairs[0][0], pairs[0][0]))
-            stacked = metrics._stacked(metrics._powered_distances, kinds, pairs)
-            assert stacked == [tuple(metrics._powered_distances(kinds, r, s)) for r, s in pairs]
+            stacked = metrics.stacked(metrics.powered_distances, kinds, pairs)
+            assert stacked == [tuple(metrics.powered_distances(kinds, r, s)) for r, s in pairs]
             assert stacked == [
                 tuple(metrics.powered_distance(k, r, s) for k in kinds) for r, s in pairs
             ]
 
     def test_one_svd_serves_every_schatten_order(self):
-        # _powered_distances takes one SVD of s - r for every order; each
+        # powered_distances takes one SVD of s - r for every order; each
         # value has the bits of its own schatten_norm, raised to its power
         kinds = [TRACE, HILBERT_SCHMIDT, lp(1.5), lp(3.0), lp(3.0, power=1.0), BURES]
         schatten = [k for k in kinds if k.schatten_p is not None]
         for d in (2, 3, 4, 6):
-            pairs = [metrics._random_pair(750 + 10 * d + k, d) for k in range(4)]
+            pairs = [trials._random_pair(750 + 10 * d + k, d) for k in range(4)]
             rs, ss = (np.stack(side) for side in zip(*pairs))
             for r, s in pairs:
-                got = metrics._powered_distances(kinds, r, s)
+                got = metrics.powered_distances(kinds, r, s)
                 assert [got[kinds.index(k)] for k in schatten] == [
                     linalg.schatten_norm(s - r, k.schatten_p) ** k.power for k in schatten
                 ]
-            got = metrics._powered_distances(kinds, rs, ss)
+            got = metrics.powered_distances(kinds, rs, ss)
             for k in schatten:
                 norms = linalg.schatten_norm(ss - rs, k.schatten_p)
                 assert got[kinds.index(k)] == [norm ** k.power for norm in norms.tolist()]
@@ -541,5 +540,5 @@ class TestStackedEvaluation:
                 [random_density(d, 1 + k % d, 800 + 10 * d + k).matrix for k in range(8)]
             )
             expected = [alone(member) for member in stack]
-            assert metrics._entropies(stack).tolist() == expected
+            assert metrics.entropies(stack).tolist() == expected
             assert [metrics.von_neumann_entropy(member) for member in stack] == expected

@@ -34,18 +34,18 @@ from vqr.metrics import (
 )
 from vqr.realism import (
     _conditional_informations,
-    _deltas,
-    _reports,
-    _dilated_deltas,
     _rmax_table,
     conditional_information_entropic,
     conditional_information_geometric,
     delta_conditional_information,
     delta_conditional_information_dilated,
+    dilated_gains,
+    gains,
     irrealism,
     irrealism_decomposition,
     realism,
     realism_max,
+    reports,
 )
 from vqr.states import (
     DensityMatrix,
@@ -351,7 +351,7 @@ class TestKindListHelpers:
         kinds = [parse_kind(token) for token in tokens]
         for i in range(6):
             rho, obs = random_instance(9100 + i, i)
-            shared = _deltas([(rho, obs)], kinds)[0]
+            shared = gains([(rho, obs)], kinds)[0]
             assert shared == [delta_conditional_information(rho, obs, k) for k in kinds]
 
     @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
@@ -359,7 +359,7 @@ class TestKindListHelpers:
         kinds = [parse_kind(token) for token in tokens]
         for i in range(4):
             rho, obs = random_instance(9200 + i, i)
-            shared = _dilated_deltas(rho, obs, kinds)
+            shared = dilated_gains(rho, obs, kinds)
             assert shared == [delta_conditional_information_dilated(rho, obs, k) for k in kinds]
 
     @pytest.mark.parametrize("tokens", MIXED_KIND_LISTS.values(), ids=MIXED_KIND_LISTS.keys())
@@ -368,7 +368,7 @@ class TestKindListHelpers:
         fields = ("kind", "r_value", "r_max", "delta_i", "vqr_detected")
         for i in range(6):
             rho, obs = random_instance(9500 + i, i)
-            shared = _reports([(rho, obs)], kinds)[0]
+            shared = reports([(rho, obs)], kinds)[0]
             expected = [realism(rho, obs, k) for k in kinds]
             assert len(shared) == len(expected)
             for got, want in zip(shared, expected):
@@ -404,23 +404,23 @@ class TestKindListHelpers:
         kinds = [parse_kind(token) for token in tokens]
         pairs = [random_instance(9600 + i, i, d_b=2 + (i > 5)) for i in range(9)]
         pairs.append(pairs[1])
-        stacked = _deltas(pairs, kinds)
-        assert stacked == [_deltas([pair], kinds)[0] for pair in pairs]
+        stacked = gains(pairs, kinds)
+        assert stacked == [gains([pair], kinds)[0] for pair in pairs]
         assert stacked == [
             [delta_conditional_information(rho, obs, k) for k in kinds] for rho, obs in pairs
         ]
         fields = ("kind", "r_value", "r_max", "delta_i", "vqr_detected")
-        reports = _reports(pairs, kinds)
-        assert len(reports) == len(pairs)
-        for row, (rho, obs) in zip(reports, pairs):
+        rows = reports(pairs, kinds)
+        assert len(rows) == len(pairs)
+        for row, (rho, obs) in zip(rows, pairs):
             assert [[getattr(r, f) for f in fields] for r in row] == [
                 [getattr(realism(rho, obs, k), f) for f in fields] for k in kinds
             ]
 
     def test_empty_pair_list(self):
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
-        assert _deltas([], kinds) == []
-        assert _reports([], kinds) == []
+        assert gains([], kinds) == []
+        assert reports([], kinds) == []
 
     @pytest.mark.parametrize("position", [0, 3, 7])
     def test_renyi_anywhere_in_the_list_raises(self, position):
@@ -428,16 +428,16 @@ class TestKindListHelpers:
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
         kinds.insert(position, renyi(0.5))
         for call in (
-            lambda: _deltas([(rho, obs)], kinds),
-            lambda: _dilated_deltas(rho, obs, kinds),
-            lambda: _reports([(rho, obs)], kinds),
+            lambda: gains([(rho, obs)], kinds),
+            lambda: dilated_gains(rho, obs, kinds),
+            lambda: reports([(rho, obs)], kinds),
         ):
             with pytest.raises(InvalidOrder, match="no realism recipe"):
                 call()
 
 
 class TestClosedFormRoute:
-    """The closed forms read their distances from metrics._powered_distances:
+    """The closed forms read their distances from metrics.powered_distances:
     tr and the L_p orders share one SVD of Phi/d_E - rho, hs one of
     Phi - rho, and ||Phi||_p^p and ||rho||_p^p one SVD each."""
 
@@ -446,7 +446,7 @@ class TestClosedFormRoute:
         pairs = [random_instance(9800 + 3 * i, 0) for i in range(5)]
         kinds = [parse_kind(token) for token in ("tr", "hs", "lp1.5", "lp3")]
         linalg_counts.reset()
-        _deltas(pairs, kinds)
+        gains(pairs, kinds)
         assert calls == [(5, 4, 4)] * 4
 
     @pytest.mark.parametrize("d_e", [2, 3])
@@ -454,7 +454,7 @@ class TestClosedFormRoute:
         kinds = [parse_kind(token) for token in MIXED_KIND_LISTS["forward"]]
         pairs = [random_instance(9900 + i, d_e - 2 + 3 * i) for i in range(4)]
         assert {obs.outcomes for _, obs in pairs} == {d_e}
-        assert _deltas(pairs, kinds) == [
+        assert gains(pairs, kinds) == [
             [delta_conditional_information(rho, obs, k) for k in kinds] for rho, obs in pairs
         ]
 
@@ -505,7 +505,7 @@ def test_a_token_is_not_a_kind():
 
 class TestPerKindCallsShareOnePass:
     """Per-kind calls on one (rho, A) pair reuse the intermediates of the
-    last _deltas call, so they do the spectral work of one multi-kind call
+    last gains call, so they do the spectral work of one multi-kind call
     and give its bits."""
 
     TOKENS = ("tr", "hs", "bu", "he", "vn")
@@ -525,7 +525,7 @@ class TestPerKindCallsShareOnePass:
         one_kind = [realism(rho, obs, kind) for kind in kinds]
         per_kind_counts = linalg_counts.calls(), linalg_counts.matrices()
         linalg_counts.reset()
-        multi_kind = _reports([(twin, obs)], kinds)[0]
+        multi_kind = reports([(twin, obs)], kinds)[0]
         assert per_kind_counts == (linalg_counts.calls(), linalg_counts.matrices())
         assert per_kind_counts[0]["eigh"] > 0
         assert one_kind == multi_kind
@@ -556,7 +556,7 @@ class TestPerKindCallsShareOnePass:
         kinds = [parse_kind(token) for token in self.TOKENS]
         a, b = self.pair(41), self.pair(43)
         expected = {
-            name: _deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+            name: gains([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
             for name, (rho, obs) in (("a", a), ("b", b))}
         for name, (rho, obs) in (("a", a), ("b", b), ("a", a)):
             assert [delta_conditional_information(rho, obs, kind) for kind in kinds] == (
@@ -576,7 +576,7 @@ class TestPerKindCallsShareOnePass:
         # from a cleared R_max table, so the first calls also race on its misses
         kinds = [parse_kind(token) for token in self.TOKENS]
         pairs = [self.pair(71 + 2 * i, d=2) for i in range(4)]
-        expected = [_reports([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+        expected = [reports([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
                     for rho, obs in pairs]
         wrong = []
 
@@ -634,14 +634,14 @@ class TestBlockRootProduct:
         rhos = np.stack([random_density(n, n - i % 3, 12000 + i, dims=obs.dims).matrix
                          for i in range(50)])
         phis = np.stack([phi_map(rho, obs) for rho in rhos])
-        blocks = obs._pinching_blocks
+        blocks = obs.pinching_blocks
         linalg_counts.reset()
-        by_block = metrics._Distances(rhos, phis, blocks)
+        by_block = metrics.Distances(rhos, phis, blocks)
         by_block.root
         # sqrt(rho), then one stacked sqrtm_psd per block size
         assert linalg_counts.shapes["eigh"] == [(50, n, n)] + [
             (50, *indices.shape, indices.shape[1]) for indices in blocks.by_size]
-        dense = metrics._Distances(rhos, phis)
+        dense = metrics.Distances(rhos, phis)
         for kind in (BURES, HELLINGER):
             assert np.abs(by_block.powered(kind) - dense.powered(kind)).max() <= 1e-14
         assert len(blocks.by_size) == (2 if obs is ONE_ONE_TWO else 1)
@@ -666,8 +666,8 @@ class TestBlockRootProduct:
         ]
         pairs = [(random_density(4, 4 - i % 2, 12300 + i, dims=(2, 2)), obs)
                  for i, obs in enumerate(observables * 2)]
-        together = _deltas(pairs, kinds)
-        alone = [_deltas([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
+        together = gains(pairs, kinds)
+        alone = [gains([(DensityMatrix(rho.matrix, rho.dims), obs)], kinds)[0]
                  for rho, obs in pairs]
         assert together == alone
 

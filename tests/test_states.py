@@ -456,11 +456,16 @@ class TestRandomSampling:
         (lambda: random_observable(0, 1), OutOfRange,
          "observable dimension must be at least 1, got 0"),
         (lambda: random_density(0, 1, 1), OutOfRange, "state dimension must be at least 1, got 0"),
+        (lambda: computational_observable(0), OutOfRange,
+         "observable dimension must be at least 1, got 0"),
+        (lambda: computational_observable(-1), OutOfRange,
+         "observable dimension must be at least 1, got -1"),
     ], ids=["density_seed", "observable_seed", "unitary_seed", "pure_seed", "float_seed",
             "unitary_float_dim", "observable_float_dim", "unitary_zero_dim",
-            "observable_zero_dim", "density_zero_dim"])
+            "observable_zero_dim", "density_zero_dim", "computational_zero_dim",
+            "computational_negative_dim"])
     def test_bad_seeds_and_sizes_raise_named_errors(self, call, error, message):
-        # the seed rule is metrics._require_trials', through linalg.as_seed
+        # the seed rule is trials.require_trials', through linalg.as_seed
         with pytest.raises(error, match=f"^{message}$"):
             call()
 
